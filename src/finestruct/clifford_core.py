@@ -168,7 +168,7 @@ class Multivector:
         return bool(np.array_equal(self.c, other.c))
 
     def __hash__(self):
-        return hash(self.c.tobytes())
+        return hash((self.c + 0.0).tobytes())  # -0.0 == 0.0, so hash them alike
 
     def __repr__(self):
         parts = []
@@ -200,6 +200,9 @@ ONE = Multivector.scalar(1.0)
 SIGNED_INDEX = INDEX_TABLE + DIM * (
     np.take_along_axis(SIGN_TABLE, INDEX_TABLE, axis=1) < 0)
 
+# LEFT_SIGNED[k, b] picks SIGN_TABLE[k ^ b, b] * A[k ^ b] out of [A, -A].
+LEFT_SIGNED = INDEX_TABLE + DIM * (SIGN_TABLE[INDEX_TABLE, np.arange(DIM)] < 0)
+
 
 def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear extension of the blade product, as one gather:
@@ -212,10 +215,6 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     # Reducing over axis 0 adds whole rows one after another, so every slot
     # is summed sequentially in the order of nz (no pairwise summation).
     return Multivector._wrap(np.add.reduce(terms, axis=0, initial=0.0))
-
-
-def mv_linear(a: Multivector, b: Multivector, s: float, t: float) -> Multivector:
-    return Multivector(s * a.c + t * b.c)
 
 
 def is_paravector(x: Multivector, atol: float = ATOL_DEFAULT) -> bool:

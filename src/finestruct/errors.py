@@ -21,10 +21,6 @@ class AxisTooClose(EngineError):
     """Radial coordinate below the configured minimum for 1/r terms."""
 
 
-class StencilOutOfDomain(EngineError):
-    """Finite-difference stencil left the declared domain."""
-
-
 class SpectralSphereHit(EngineError):
     """Evaluation point lies on (or too close to) the sphere of the pole."""
 

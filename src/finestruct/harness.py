@@ -526,9 +526,10 @@ def _es1bis_residual(T: OperatorTuple, s: Multivector, N: int) -> float:
     spows = _slice_inverse_powers(s, N)
     tp = [CliffordMatrix.identity(d)]
     tb = [CliffordMatrix.identity(d)]
+    Tc, Tbar = T.as_clifford(), T.conj_clifford()
     for _ in range(N):
-        tp.append(tp[-1] * T.as_clifford())
-        tb.append(tb[-1] * T.conj_clifford())
+        tp.append(tp[-1] * Tc)
+        tb.append(tb[-1] * Tbar)
     acc = CliffordMatrix.zero(d)
     for m in range(1, N + 1):
         for k in range(1, m + 1):

@@ -43,8 +43,10 @@ def pseudo_kernel(variant: str, s: Multivector, x: Multivector) -> Multivector:
 
 
 def inverse_power(q: Multivector, k: int) -> Multivector:
+    if k < 0:
+        raise ValueError(f"expected a power k >= 0, got {k}")
     inv = paravector_inverse(q)
-    if k <= 0:
+    if k == 0:
         return ONE
     # Conjugation leaves -0.0 in zero vector slots; adding 0.0 turns them
     # into +0.0, as a product ONE * inv would, so the signs of zeros that

@@ -10,16 +10,16 @@ has real matrix coefficients), then re-expand over the blades of J.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import hypot, pi, sqrt
 
 import numpy as np
 
 from .clifford_core import (
     DIM,
-    INDEX_TABLE,
+    LEFT_SIGNED,
     Multivector,
     PARAVECTOR_MASKS,
-    SIGN_TABLE,
     axis_decompose,
     paravector_norm_sq,
 )
@@ -97,17 +97,10 @@ class CliffordMatrix:
             other = CliffordMatrix.from_multivector(other, self.dim)
         if not isinstance(other, CliffordMatrix):
             return NotImplemented
-        out = np.zeros_like(self.a)
-        nz_a = np.nonzero(np.abs(self.a).max(axis=(1, 2)))[0]
-        nz_b = np.nonzero(np.abs(other.a).max(axis=(1, 2)))[0]
-        if len(nz_a) == 0 or len(nz_b) == 0:
-            return CliffordMatrix(out)
-        prod = np.einsum("aij,bjk->abik", self.a[nz_a], other.a[nz_b])
-        grid = np.ix_(nz_a, nz_b)
-        prod *= SIGN_TABLE[grid][:, :, None, None]
+        # out[k] = sum_b SIGN_TABLE[k ^ b, b] * A[k ^ b] @ B[b], as one matmul.
         d = self.dim
-        np.add.at(out, INDEX_TABLE[grid].reshape(-1), prod.reshape(-1, d, d))
-        return CliffordMatrix(out)
+        left = np.concatenate((self.a, -self.a)).take(_left_gather(d))
+        return CliffordMatrix((left @ other.a.reshape(DIM * d, d)).reshape(DIM, d, d))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -119,8 +112,15 @@ class CliffordMatrix:
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.a)))
 
-    def blade(self, mask: int) -> np.ndarray:
-        return self.a[mask]
+
+@lru_cache(maxsize=None)
+def _left_gather(d: int) -> np.ndarray:
+    """Flat indices into [A, -A] of shape (64, d, d) with
+    L[(k, i), (b, j)] = [A, -A][LEFT_SIGNED[k, b], i, j]."""
+    i = np.arange(d)
+    idx = (LEFT_SIGNED[:, None, :, None] * d + i[:, None, None]) * d + i
+    idx.flags.writeable = False
+    return idx.reshape(DIM * d, DIM * d)
 
 
 class OperatorTuple:
@@ -145,14 +145,16 @@ class OperatorTuple:
         self.mats = mats
         self.d = d
         self._spectrum = None
+        self._qmat = sum(m @ m for m in mats)
+        self._qmat.flags.writeable = False
 
     @property
     def T0(self) -> np.ndarray:
         return self.mats[0]
 
     def qmat(self) -> np.ndarray:
-        """T Tbar = sum of squares of all six components."""
-        return sum(m @ m for m in self.mats)
+        """T Tbar = sum of squares of all six components (cached, read-only)."""
+        return self._qmat
 
     def as_clifford(self) -> CliffordMatrix:
         a = np.zeros((DIM, self.d, self.d))

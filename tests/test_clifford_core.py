@@ -98,6 +98,15 @@ def test_mv_mul_matches_operator():
         assert (a * b - ref).norm_inf() == 0.0
 
 
+def test_hash_agrees_with_equality_on_signed_zeros():
+    negative_zero = np.zeros(32)
+    negative_zero[0] = -0.0
+    a, b = Multivector(negative_zero), Multivector.scalar(0.0)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_paravector_roundtrip():
     x = Multivector.paravector(1.0, 2.0, 0.0, -1.0, 0.5, 0.25)
     assert is_paravector(x)

@@ -41,6 +41,15 @@ def test_pseudo_kernel_inverse():
     assert (q * inverse_power(q, 1) - one).norm_inf() < 1e-13
 
 
+def test_inverse_power_rejects_negative_powers():
+    s, x = rand_pair(np.random.default_rng(1))
+    q = pseudo_kernel("commutative", s, x)
+    assert inverse_power(q, 0) == Multivector.scalar(1.0)
+    for k in (-1, -3):
+        with pytest.raises(ValueError):
+            inverse_power(q, k)
+
+
 def test_cauchy_forms_agree():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finestruct.clifford_core import Multivector
+from finestruct.clifford_core import DIM, Multivector, blade_product
 from finestruct.contour import circle
 from finestruct.errors import (
     OnSpectrum,
@@ -38,6 +38,54 @@ def test_clifford_matrix_mirrors_multivector_product():
     B = CliffordMatrix.from_multivector(b, 3)
     C = CliffordMatrix.from_multivector(a * b, 3)
     assert (A * B - C).norm_inf() < 1e-13
+
+
+def _reference_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum over all blade pairs (a, b) of sign * A[a] @ B[b] into blade a ^ b."""
+    out = np.zeros_like(A)
+    for a in range(DIM):
+        for b in range(DIM):
+            sign, k = blade_product(a, b)
+            out[k] += sign * (A[a] @ B[b])
+    return out
+
+
+def _operand(rng, kind: str, d: int) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros((DIM, d, d))
+    a = rng.normal(size=(DIM, d, d))
+    if kind == "sparse":
+        a[rng.random(DIM) < 0.75] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_clifford_matrix_product_matches_definition(d):
+    rng = np.random.default_rng(10 + d)
+    kinds = ("dense", "sparse", "zero")
+    for ka in kinds:
+        for kb in kinds:
+            A, B = _operand(rng, ka, d), _operand(rng, kb, d)
+            ref = _reference_product(A, B)
+            got = (CliffordMatrix(A) * CliffordMatrix(B)).a
+            assert got.shape == (DIM, d, d)
+            assert np.abs(got - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
+    # A Multivector on either side acts as c (x) I.
+    A = _operand(rng, "dense", d)
+    c = Multivector(rng.normal(size=DIM))
+    C = c.c[:, None, None] * np.eye(d)
+    for got, ref in ((CliffordMatrix(A) * c, _reference_product(A, C)),
+                     (c * CliffordMatrix(A), _reference_product(C, A))):
+        assert np.abs(got.a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_qmat_is_computed_once_and_read_only():
+    T, _ = _rand_tuple(np.random.default_rng(3), 3, 0.5)
+    Q = T.qmat()
+    assert Q is T.qmat()
+    assert np.array_equal(Q, sum(m @ m for m in T.mats))
+    with pytest.raises(ValueError):
+        Q[0, 0] = 1.0
 
 
 def test_noncommuting_tuple_rejected():
