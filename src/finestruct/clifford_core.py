@@ -160,7 +160,7 @@ class Multivector:
         return Multivector._wrap(c)
 
     def is_zero(self, atol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.c)) <= atol)
+        return bool(np.abs(self.c).max() <= atol)
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):

@@ -5,10 +5,15 @@ fine-structure space classification and factorization enumeration.
 The operators act exactly on the canonical form: the scalar derivative acts
 on x0^a, and the radial part of D acts on x_^b by -b x_^(b-1) for even b and
 -(b+4) x_^(b-1) for odd b.  D = d0 + radial, Dbar = d0 - radial, and Delta is
-the composition D(Dbar(.)).
+the composition D(Dbar(.)).  On a monomial x^m the same rules run on Python
+integers (word_image), so its images are exact at every degree.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import comb
+from types import MappingProxyType
 
 from .clifford_core import Multivector, ONE, ZERO
 from .errors import AxisTooClose
@@ -21,10 +26,6 @@ from .slice_poly import (
     is_slice,
     to_canonical,
 )
-
-LETTERS = ("D", "Dbar", "Delta")
-
-KERNEL_KINDS = ("D", "Delta", "DeltaD", "Dbar", "Dbar2", "D2", "DeltaDbar")
 
 # Operator words (composition, applied right to left) for each kernel kind.
 KIND_WORDS = {
@@ -53,10 +54,6 @@ KIND_ORDER = {
     "F5": 4,
 }
 
-FINE_SPACE_TAGS = (
-    "AM", "AH", "ABH", "ACH1", "AntiACH1", "AP2", "AP3", "APC12", "SH",
-)
-
 # Annihilator word of each fine-structure space.
 TAG_WORDS = {
     "AM": ("D",),
@@ -84,13 +81,6 @@ def word_degrees(word) -> tuple[int, int]:
         else:
             raise ValueError(f"unknown letter {letter!r}")
     return a, b
-
-
-def normalize_word(word) -> tuple[str, ...]:
-    """Canonical form Delta^k D^a Dbar^b with min(a, b) folded into k."""
-    a, b = word_degrees(word)
-    k = min(a, b)
-    return ("Delta",) * k + ("D",) * (a - k) + ("Dbar",) * (b - k)
 
 
 # -- exact operator action on the canonical form ------------------------------
@@ -131,10 +121,11 @@ def apply_operator(op: str, C: CanonicalPoly) -> CanonicalPoly:
 def apply_word(word, P) -> CanonicalPoly:
     """Apply a composition word (leftmost letter applied last).
 
-    Slice polynomials are processed one monomial at a time with a unit
-    coefficient.  The intermediate coefficients are then exact (small)
-    integers, so identities such as D(Δ²P) = 0 cancel exactly in floating
-    point; the polynomial's coefficients multiply the finished images.
+    A slice polynomial is processed one monomial at a time: the image of
+    x^m is the exact Python-integer table word_image(word, m), rounded once
+    to float at the end and multiplied by the polynomial's coefficient, so
+    identities such as D(Δ²P) = 0 cancel exactly.  Other inputs go through
+    the canonical form with Clifford coefficients.
     """
     word = tuple(word)
     if isinstance(P, SlicePolynomial):
@@ -142,18 +133,62 @@ def apply_word(word, P) -> CanonicalPoly:
         for m, coeff in enumerate(P.coeffs):
             if coeff.is_zero():
                 continue
-            C = to_canonical(SlicePolynomial.monomial(m, 1.0, P.side))
-            for letter in reversed(word):
-                C = apply_operator(letter, C)
-            for (a, b), c in C.terms.items():
-                scalar = c[0]
-                if scalar != 0.0:
-                    out._add_term(a, b, coeff * scalar)
+            for (a, b), n in word_image(word, m).items():
+                out._add_term(a, b, coeff * float(n))
         return out
     C = to_canonical(P)
     for letter in reversed(word):
         C = apply_operator(letter, C)
     return C
+
+
+# -- exact integer images of monomials -------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _key(a: int, b: int) -> tuple[int, int]:
+    """One shared (a, b) tuple per exponent pair, which keeps the memoised
+    tables small."""
+    return a, b
+
+
+def _int_letter(letter: str, terms) -> dict:
+    """One letter on an integer canonical image {(a, b): n}, by the rules of
+    _d0 and _radial; terms are added as in CanonicalPoly.__add__/__sub__,
+    so the result has their insertion order and no zero entries."""
+    if letter == "Delta":
+        return _int_letter("D", _int_letter("Dbar", terms))
+    if letter not in ("D", "Dbar"):
+        raise ValueError(f"unknown letter {letter!r}")
+    sign = 1 if letter == "D" else -1
+    out = {_key(a - 1, b): n * a for (a, b), n in terms.items() if a > 0}
+    for (a, b), n in terms.items():
+        if b > 0:
+            key = _key(a, b - 1)
+            new = out.get(key, 0) + sign * n * (-b if b % 2 == 0 else -(b + 4))
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
+
+
+@lru_cache(maxsize=None)
+def word_image(word: tuple[str, ...], m: int) -> MappingProxyType:
+    """Canonical image of x^m under a composition word, as a read-only
+    mapping (a, b) -> n meaning n x0^a x_^b, with Python-int n != 0.
+
+    Built lazily and memoised: the image of a word is its first letter
+    applied to the cached image of the rest of the word; the empty word
+    gives the binomial expansion of x^m.  Terms come in the order the
+    Clifford-coefficient engine (apply_operator on to_canonical) produces
+    them.
+    """
+    if not word:
+        terms = {_key(m - i, i): comb(m, i) for i in range(m + 1)}
+    else:
+        terms = _int_letter(word[0], word_image(word[1:], m))
+    return MappingProxyType(terms)
 
 
 # -- monomial image tables -----------------------------------------------------

@@ -259,18 +259,17 @@ def _rand_tuple(rng, d: int, scale: float = 0.5, vanish45: bool = False,
 
 def _suite_identities(cfg, tol):
     rng = np.random.default_rng(cfg["seed"])
-    checks = []
     for kind in FINE_KINDS:
         for m in range(13):
             lhs = apply_word(KIND_WORDS[kind], SlicePolynomial.monomial(m))
             rhs = to_canonical(monomial_image(kind, m))
             value = 0.0 if lhs.equals(rhs) else 1.0
-            checks.append((f"identities.table.{kind}.m{m:02d}", value,
-                           tol["identities.exact"], None))
+            yield (f"identities.table.{kind}.m{m:02d}", value,
+                   tol["identities.exact"], None)
     lemma_fail = sum(1 for m in range(3, 201)
                      if not (sum_lemma_1(m) and sum_lemma_2(m)))
-    checks.append(("identities.sum_lemmas", float(lemma_fail),
-                   tol["identities.exact"], None))
+    yield ("identities.sum_lemmas", float(lemma_fail),
+           tol["identities.exact"], None)
     anchors = [
         ("D", 1, -4.0), ("Delta", 2, -8.0), ("D2", 2, -8.0),
         ("DeltaD", 3, 16.0), ("Dbar", 1, 6.0),
@@ -282,7 +281,7 @@ def _suite_identities(cfg, tol):
                                         SlicePolynomial.monomial(m)),
                              Multivector.scalar(0.7))
         worst = max(worst, (got - Multivector.scalar(expected)).norm_inf())
-    checks.append(("identities.anchors", worst, tol["identities.exact"], None))
+    yield ("identities.anchors", worst, tol["identities.exact"], None)
     endpoint = 0.0
     for _ in range(50):
         P = _rand_slice_poly(rng, int(rng.integers(0, 11)))
@@ -290,14 +289,12 @@ def _suite_identities(cfg, tol):
         if not img.is_zero():
             endpoint = max(endpoint,
                            max(c.norm_inf() for c in img.terms.values()))
-    checks.append(("identities.fueter_sce_endpoint", endpoint,
-                   tol["identities.exact"], None))
-    return checks
+    yield ("identities.fueter_sce_endpoint", endpoint,
+           tol["identities.exact"], None)
 
 
 def _suite_kernels(cfg, tol):
     rng = np.random.default_rng(cfg["seed"] + 1)
-    checks = []
     for kind in FINE_KINDS + ("F5",):
         worst = 0.0
         growth = 16.0 if kind == "F5" else 4.0
@@ -308,7 +305,7 @@ def _suite_kernels(cfg, tol):
                           h=1e-3, step_growth=growth)
             ck = fine_kernel(kind, LEFT, s, x)
             worst = max(worst, (fd - ck).norm_inf() / ck.norm_inf())
-        checks.append((f"kernels.fd.{kind}", worst, tol["kernels.fd"], None))
+        yield (f"kernels.fd.{kind}", worst, tol["kernels.fd"], None)
 
     for kind in ALL_KINDS:
         worst = 0.0
@@ -320,8 +317,8 @@ def _suite_kernels(cfg, tol):
                         - fine_kernel(kind, side, s, x)).norm_inf()
                 scale = fine_kernel(kind, side, s, x).norm_inf()
                 worst = max(worst, diff / max(scale, 1.0))
-        checks.append((f"kernels.series.{kind}", worst,
-                       tol["kernels.series"], None))
+        yield (f"kernels.series.{kind}", worst,
+               tol["kernels.series"], None)
 
     for kind in FINE_KINDS:
         worst = 0.0
@@ -332,8 +329,8 @@ def _suite_kernels(cfg, tol):
                                     - fine_kernel(kind, side, s, x)).norm_inf())
         # Remark-combination mismatches are transcription flags, not failures.
         status = None if worst <= tol["kernels.via_f5"] else "flag"
-        checks.append((f"kernels.via_f5.{kind}", worst,
-                       tol["kernels.via_f5"], status))
+        yield (f"kernels.via_f5.{kind}", worst,
+               tol["kernels.via_f5"], status)
 
     worst = 0.0
     for _ in range(100):
@@ -341,13 +338,13 @@ def _suite_kernels(cfg, tol):
         for side in (LEFT, RIGHT):
             worst = max(worst, (cauchy_kernel(side, "I", s, x)
                                 - cauchy_kernel(side, "II", s, x)).norm_inf())
-    checks.append(("kernels.form_equiv", worst, tol["kernels.form_equiv"], None))
+    yield ("kernels.form_equiv", worst, tol["kernels.form_equiv"], None)
 
     worst = 0.0
     for _ in range(100):
         s, x = _seed_kernel_pair(rng, 0.2, 2.0)
         worst = max(worst, p0_residual(s, x).norm_inf())
-    checks.append(("kernels.p0", worst, tol["kernels.p0"], None))
+    yield ("kernels.p0", worst, tol["kernels.p0"], None)
 
     worst = 0.0
     for _ in range(20):
@@ -355,7 +352,7 @@ def _suite_kernels(cfg, tol):
         for kind in ("D", "DeltaD"):
             worst = max(worst, (fine_kernel(kind, LEFT, s, x)
                                 - fine_kernel(kind, RIGHT, s, x)).norm_inf())
-    checks.append(("kernels.sides_coincide", worst, tol["kernels.sides"], None))
+    yield ("kernels.sides_coincide", worst, tol["kernels.sides"], None)
 
     # The printed D^2 closed form differs in sign from the one the series,
     # the F5 combination, and the FD oracle all agree on; reported as a
@@ -364,9 +361,8 @@ def _suite_kernels(cfg, tol):
     from .kernels import _q_inverse_power
     printed = (s - x) * _q_inverse_power(s, x, 2) * 8.0
     adopted = fine_kernel("D2", LEFT, s, x)
-    checks.append(("kernels.d2_printed_sign",
-                   (printed - adopted).norm_inf(), 1e-12, "flag"))
-    return checks
+    yield ("kernels.d2_printed_sign",
+           (printed - adopted).norm_inf(), 1e-12, "flag")
 
 
 def _suite_integrals(cfg, tol):
@@ -375,22 +371,21 @@ def _suite_integrals(cfg, tol):
     e1 = Multivector.basis(1)
     e2 = Multivector.basis(2)
     e5 = Multivector.basis(16)
-    checks = []
     c = circle(0.0, 1.0, e1, N)
 
     P3 = SlicePolynomial.monomial(3)
     x = Multivector.paravector(0.2, 0.0, 0.1, 0.0, 0.05)
-    checks.append(("integrals.cauchy_poly",
-                   (fine_integral_eval("Cauchy", P3, x, c)
-                    - eval_slice_poly(P3, x)).norm_inf(),
-                   tol["integrals.cauchy"], None))
+    yield ("integrals.cauchy_poly",
+           (fine_integral_eval("Cauchy", P3, x, c)
+            - eval_slice_poly(P3, x)).norm_inf(),
+           tol["integrals.cauchy"], None)
 
     alt = [circle(0.0, 1.0, e2, N), circle(0.0, 1.7, e5, N),
            circle(0.1, 1.4, e1, N)]
     vals = [fine_integral_eval("Cauchy", P3, x, ci) for ci in [c] + alt]
     worst = max((a - b).norm_inf() for a in vals for b in vals)
-    checks.append(("integrals.independence", worst,
-                   tol["integrals.independence"], None))
+    yield ("integrals.independence", worst,
+           tol["integrals.independence"], None)
 
     for kind in ALL_KINDS:
         worst = 0.0
@@ -400,8 +395,8 @@ def _suite_integrals(cfg, tol):
                 xx = Multivector.paravector(*(rng.normal(size=6) * 0.15))
                 worst = max(worst, (fine_integral_eval(kind, P, xx, c)
                                     - word_eval(kind, P, xx)).norm_inf())
-        checks.append((f"integrals.word.{kind}", worst,
-                       tol["integrals.word"], None))
+        yield (f"integrals.word.{kind}", worst,
+               tol["integrals.word"], None)
 
     x4 = SlicePolynomial.monomial(4)
     xin = Multivector.paravector(0.3, 0.2)
@@ -409,8 +404,8 @@ def _suite_integrals(cfg, tol):
           - Multivector.scalar(64.0)).norm_inf()
     a2 = (fine_integral_eval("DeltaD", x4, xin, c)
           - Multivector.scalar(64.0 * 0.3)).norm_inf()
-    checks.append(("integrals.anchors", max(a1, a2),
-                   tol["integrals.word"], None))
+    yield ("integrals.anchors", max(a1, a2),
+           tol["integrals.word"], None)
 
     # geometric trapezoid convergence on an analytic integrand
     errs = []
@@ -420,8 +415,7 @@ def _suite_integrals(cfg, tol):
                      - eval_slice_poly(P3, x)).norm_inf())
     decays = 1.0 if (errs[0] <= 1e-4 and errs[1] <= errs[0] + 1e-15
                      and errs[2] <= errs[1] + 1e-15) else 0.0
-    checks.append(("integrals.trapezoid_convergence", 1.0 - decays, 0.0, None))
-    return checks
+    yield ("integrals.trapezoid_convergence", 1.0 - decays, 0.0, None)
 
 
 def _suite_calculus(cfg, tol):
@@ -430,7 +424,6 @@ def _suite_calculus(cfg, tol):
     N = cfg["nodes"]
     e1 = Multivector.basis(1)
     e3 = Multivector.basis(4)
-    checks = []
 
     worst = 0.0
     for _ in range(10):
@@ -438,7 +431,7 @@ def _suite_calculus(cfg, tol):
         sp = s_spectrum(T)
         worst = max(worst, max(max(abs(a - c), abs(b - v))
                                for (a, b), (c, v) in zip(sp, truth)))
-    checks.append(("calculus.spectrum", worst, tol["calculus.spectrum"], None))
+    yield ("calculus.spectrum", worst, tol["calculus.spectrum"], None)
 
     T, _ = _rand_tuple(rng, d)
     c = circle(0.0, 1.25 * T.norm_bound(), e1, N)
@@ -448,8 +441,8 @@ def _suite_calculus(cfg, tol):
             P = _rand_slice_poly(rng, cfg["degree_cap"], side)
             worst = max(worst, (poly_calculus_integral(kind, side, P, T, c)
                                 - poly_calculus_exact(kind, side, P, T)).norm_inf())
-        checks.append((f"calculus.exact.{kind}", worst,
-                       tol["calculus.exact"], None))
+        yield (f"calculus.exact.{kind}", worst,
+               tol["calculus.exact"], None)
 
     s = _rand_paravector(rng, 2.0 * T.norm_bound())
     worst = 0.0
@@ -457,18 +450,18 @@ def _suite_calculus(cfg, tol):
         for side in (LEFT, RIGHT):
             worst = max(worst, (fine_resolvent_series(kind, side, T, s, 60)
                                 - fine_resolvent(kind, side, T, s)).norm_inf())
-    checks.append(("calculus.series", worst, tol["calculus.series"], None))
+    yield ("calculus.series", worst, tol["calculus.series"], None)
 
     # two-sided inverse identity for the pseudo resolvent series
     worst = _es1bis_residual(T, s, 80)
-    checks.append(("calculus.es1bis", worst, tol["calculus.es1bis"], None))
+    yield ("calculus.es1bis", worst, tol["calculus.es1bis"], None)
 
     worst = 0.0
     for _ in range(10):
         Tk, _ = _rand_tuple(rng, d)
         sk = _rand_paravector(rng, 2.5 * Tk.norm_bound())
         worst = max(worst, p0_operator_residual(Tk, sk).norm_inf())
-    checks.append(("calculus.p0_operator", worst, tol["calculus.p0"], None))
+    yield ("calculus.p0_operator", worst, tol["calculus.p0"], None)
 
     worst = 0.0
     for _ in range(20):
@@ -476,7 +469,7 @@ def _suite_calculus(cfg, tol):
         sk = Multivector.scalar(rng.uniform(1.5, 2.5)) + _rand_paravector(rng, 0.3)
         pk = Multivector.scalar(-rng.uniform(1.5, 2.5)) + _rand_paravector(rng, 0.3)
         worst = max(worst, f_resolvent_equation_residual(Tk, sk, pk).norm_inf())
-    checks.append(("calculus.reseq", worst, tol["calculus.reseq"], None))
+    yield ("calculus.reseq", worst, tol["calculus.reseq"], None)
 
     worst = 0.0
     for _ in range(3):
@@ -485,10 +478,10 @@ def _suite_calculus(cfg, tol):
         f = SlicePolynomial([rng.normal() for _ in range(4)], LEFT)
         g = _rand_slice_poly(rng, 4, LEFT)
         worst = max(worst, product_rule_residual(f, g, Tk, ck).norm_inf())
-    checks.append(("calculus.prodo", worst, tol["calculus.prodo"], None))
+    yield ("calculus.prodo", worst, tol["calculus.prodo"], None)
 
     worst = max(f5_moment(T, c, j).norm_inf() for j in range(4))
-    checks.append(("calculus.moments", worst, tol["calculus.moments"], None))
+    yield ("calculus.moments", worst, tol["calculus.moments"], None)
 
     # Tcost: perturbations of degree below the annihilator order leave the
     # calculus unchanged.
@@ -500,13 +493,13 @@ def _suite_calculus(cfg, tol):
              if j <= t else P.coeffs[j] for j in range(len(P.coeffs))], LEFT)
         diff = (poly_calculus_integral(kind, LEFT, P, T, c)
                 - poly_calculus_integral(kind, LEFT, pert, T, c)).norm_inf()
-        checks.append((f"calculus.tcost.{kind}", diff,
-                       tol["calculus.tcost"], None))
+        yield (f"calculus.tcost.{kind}", diff,
+               tol["calculus.tcost"], None)
 
     # Disconnected spectrum: two clusters, per-component perturbations of
     # degree <= t change nothing.
-    checks.append(("calculus.tcost.two_component",
-                   _two_component_tcost(rng, N), tol["calculus.tcost"], None))
+    yield ("calculus.tcost.two_component",
+           _two_component_tcost(rng, N), tol["calculus.tcost"], None)
 
     cj = circle(0.0, 1.25 * T.norm_bound(), e3, N)
     ck2 = circle(0.0, 1.6 * T.norm_bound(), e1, N)
@@ -514,9 +507,8 @@ def _suite_calculus(cfg, tol):
     base = poly_calculus_integral("F5", LEFT, P, T, c)
     worst = max((poly_calculus_integral("F5", LEFT, P, T, cc) - base).norm_inf()
                 for cc in (cj, ck2))
-    checks.append(("calculus.independence", worst,
-                   tol["calculus.tcost"], None))
-    return checks
+    yield ("calculus.independence", worst,
+           tol["calculus.tcost"], None)
 
 
 def _es1bis_residual(T: OperatorTuple, s: Multivector, N: int) -> float:
@@ -574,7 +566,6 @@ def _two_component_tcost(rng, N: int) -> float:
 
 
 def _suite_vekua(cfg, tol):
-    checks = []
     # complement word: annihilator ∘ complement = D Δ²
     complements = {
         "AntiCliffordian": ("D", "D"),
@@ -599,14 +590,13 @@ def _suite_vekua(cfg, tol):
         # Polynomial members make the stencil truncation exactly zero, so a
         # large step keeps float64 roundoff far below tolerance.
         cross = fd_apply(SYSTEM_WORDS[sysname], member, x, h=0.05).norm_inf()
-        checks.append((f"vekua.{sysname}.annihilator_crosscheck", cross,
-                       tol["vekua.crosscheck"], None))
+        yield (f"vekua.{sysname}.annihilator_crosscheck", cross,
+               tol["vekua.crosscheck"], None)
         # The fixture is exactly annihilated; a large printed-system residual
         # is therefore a transcription discrepancy, reported as a flag.
         status = None if printed <= tol["vekua.residual"] else "flag"
-        checks.append((f"vekua.{sysname}.printed_residual", printed,
-                       tol["vekua.residual"], status))
-    return checks
+        yield (f"vekua.{sysname}.printed_residual", printed,
+               tol["vekua.residual"], status)
 
 
 EXPECTED_FINE_CHAINS = {
@@ -633,19 +623,18 @@ TAG_COMPLEMENTS = {
 
 
 def _suite_structures(cfg, tol):
-    checks = []
     fine = dict(enumerate_factorizations(False))
-    checks.append(("structures.dirac_count",
-                   float(abs(len(fine) - 6)), tol["structures.exact"], None))
+    yield ("structures.dirac_count",
+           float(abs(len(fine) - 6)), tol["structures.exact"], None)
     mismatch = sum(1 for w, labels in EXPECTED_FINE_CHAINS.items()
                    if fine.get(w) != labels)
-    checks.append(("structures.dirac_chains", float(mismatch),
-                   tol["structures.exact"], None))
+    yield ("structures.dirac_chains", float(mismatch),
+           tol["structures.exact"], None)
     coarse = dict(enumerate_factorizations(True))
     mismatch = sum(1 for w, labels in EXPECTED_COARSE_CHAINS.items()
                    if coarse.get(w) != labels)
-    checks.append(("structures.coarse_chains", float(mismatch),
-                   tol["structures.exact"], None))
+    yield ("structures.coarse_chains", float(mismatch),
+           tol["structures.exact"], None)
     bad = 0
     for tag, comp in TAG_COMPLEMENTS.items():
         fixture = apply_word(comp, SlicePolynomial.monomial(7))
@@ -653,9 +642,8 @@ def _suite_structures(cfg, tol):
             bad += 1
     if "SH" not in classify_space(SlicePolynomial.monomial(6)):
         bad += 1
-    checks.append(("structures.classification", float(bad),
-                   tol["structures.exact"], None))
-    return checks
+    yield ("structures.classification", float(bad),
+           tol["structures.exact"], None)
 
 
 _SUITE_FUNCS = {
@@ -682,23 +670,22 @@ def run_suite(cfg: dict) -> dict:
     tol = cfg["tol"]
     records = []
     for sname in names:
-        t0 = time.perf_counter()
+        # Each suite yields its checks as it finishes them, so a check's
+        # time is the span since the previous yield.
+        t0 = last = time.perf_counter()
         for cid, value, ctol, forced in _SUITE_FUNCS[sname](cfg, tol):
+            now = time.perf_counter()
+            ms = round((now - last) * 1000.0) if cfg.get("timing") else 0
+            last = now
             if forced is not None:
                 status = forced
             else:
                 status = "pass" if value <= ctol else "fail"
             records.append({"id": cid, "status": status,
                             "value": float(value), "tol": float(ctol),
-                            "ms": 0})
+                            "ms": ms})
         elapsed = (time.perf_counter() - t0) * 1000.0
         print(f"suite {sname}: {elapsed:.0f} ms", file=sys.stderr)
-        if cfg.get("timing"):
-            for rec in records:
-                if rec["ms"] == 0 and rec["id"].startswith(sname + "."):
-                    rec["ms"] = int(elapsed / max(
-                        sum(1 for r in records
-                            if r["id"].startswith(sname + ".")), 1))
     records.sort(key=lambda r: r["id"])
     summary = {
         "pass": sum(1 for r in records if r["status"] == "pass"),

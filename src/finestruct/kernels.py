@@ -15,18 +15,16 @@ from .clifford_core import (
     Multivector,
     ONE,
     ZERO,
+    axis_decompose,
     paravector_conjugate,
     paravector_inverse,
     paravector_norm_sq,
 )
 from .errors import OutsideConvergenceDisk, SpectralSphereHit
-from .fueter_ops import KIND_WORDS, apply_word
-from .slice_poly import LEFT, RIGHT, SlicePolynomial, canonical_eval
+from .fueter_ops import KIND_WORDS, word_image
+from .slice_poly import LEFT
 
 GAMMA_5 = 64.0
-
-KERNEL_KINDS = ("Cauchy", "F5", "D", "Delta", "DeltaD", "Dbar", "Dbar2",
-                "D2", "DeltaDbar")
 
 
 def pseudo_kernel(variant: str, s: Multivector, x: Multivector) -> Multivector:
@@ -139,16 +137,31 @@ def fine_kernel(kind: str, side: str, s: Multivector, x: Multivector) -> Multive
 def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
                        N: int) -> Multivector:
     """Partial sum of the kernel expansion sum_m image_m(x) s^(-1-m), where
-    image_m is the operator word of the kind applied to x^m."""
+    image_m is the operator word of the kind applied to x^m.
+
+    Each image is the memoised integer table word_image(word, m), evaluated
+    at x = x0 + r omega as alpha_m + omega beta_m: x_^b is reduced as in
+    canonical_eval, the even-b terms summed into alpha_m and the odd-b terms
+    into beta_m.
+    """
     if paravector_norm_sq(x) >= paravector_norm_sq(s):
         raise OutsideConvergenceDisk("series requires |x| < |s|")
     word = KIND_WORDS[kind]
+    x0, r, omega = axis_decompose(x)
     s_inv = paravector_inverse(s)
     acc = ZERO
     s_pow = s_inv  # s^(-1-m), starting at m = 0
     for m in range(N + 1):
-        image = apply_word(word, SlicePolynomial.monomial(m, 1.0, side))
-        value = canonical_eval(image, x)
+        alpha = beta = 0.0
+        for (a, b), n in word_image(word, m).items():
+            scalar = (x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
+            if b % 2 == 0:
+                alpha += scalar * n
+            else:
+                beta += scalar * r * n
+        value = Multivector.scalar(alpha)
+        if omega is not None:
+            value = value + omega * beta
         if side == LEFT:
             acc = acc + value * s_pow
         else:

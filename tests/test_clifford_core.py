@@ -107,6 +107,17 @@ def test_hash_agrees_with_equality_on_signed_zeros():
     assert len({a, b}) == 1
 
 
+def test_is_zero_treats_nan_as_nonzero_and_negative_zero_as_zero():
+    c = np.zeros(32)
+    c[3] = -0.0
+    assert Multivector(c).is_zero()
+    c[5] = np.nan
+    assert not Multivector(c).is_zero()
+    assert not Multivector(c).is_zero(atol=1.0)
+    assert Multivector.scalar(-1e-13).is_zero(atol=1e-12)
+    assert not Multivector.scalar(-1e-11).is_zero(atol=1e-12)
+
+
 def test_paravector_roundtrip():
     x = Multivector.paravector(1.0, 2.0, 0.0, -1.0, 0.5, 0.25)
     assert is_paravector(x)

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,12 @@ from finestruct.fueter_ops import (
     sum_lemma_2,
     vekua_residual,
     word_degrees,
+    word_image,
 )
 from finestruct.slice_poly import (
     LEFT,
+    RIGHT,
+    CanonicalPoly,
     SlicePolynomial,
     canonical_eval,
     eval_slice_poly,
@@ -46,6 +51,70 @@ def test_monomial_tables_exact(kind):
         lhs = apply_word(KIND_WORDS[kind], SlicePolynomial.monomial(m))
         rhs = to_canonical(monomial_image(kind, m))
         assert lhs.equals(rhs), f"{kind} table differs at m={m}"
+
+
+def _exact_canonical(xbar) -> dict:
+    """Python-int canonical form of an integer (x, x̄) polynomial:
+    x^a x̄^b = sum_ij C(a,i) C(b,j) (-1)^j x0^(a+b-i-j) x_^(i+j)."""
+    out: dict = {}
+    for a, b, c in xbar.terms:
+        n = int(c[0])
+        assert n == c[0] and not (c - Multivector.scalar(c[0])).c.any()
+        for i in range(a + 1):
+            for j in range(b + 1):
+                key = (a + b - i - j, i + j)
+                out[key] = out.get(key, 0) + n * comb(a, i) * comb(b, j) * (-1) ** j
+    return {k: n for k, n in out.items() if n}
+
+
+@pytest.mark.parametrize("kind", FINE_KINDS)
+def test_word_image_equals_printed_table_exactly(kind):
+    for m in range(81):
+        assert dict(word_image(KIND_WORDS[kind], m)) == _exact_canonical(
+            monomial_image(kind, m)), f"{kind} differs at m={m}"
+
+
+def test_fueter_sce_endpoint_image_is_empty():
+    for m in range(81):
+        assert len(word_image(("D", "Delta", "Delta"), m)) == 0
+
+
+def test_word_image_is_read_only():
+    table = word_image(("Delta", "D"), 6)
+    with pytest.raises(TypeError):
+        table[(0, 0)] = 1
+    with pytest.raises(TypeError):
+        del table[next(iter(table))]
+    assert word_image(("Delta", "D"), 6) is table
+
+
+def _clifford_engine_apply(word, P) -> CanonicalPoly:
+    """apply_word on a slice polynomial as computed with Clifford
+    coefficients throughout: each monomial through to_canonical and
+    apply_operator, its scalar images times the polynomial's coefficient."""
+    out = CanonicalPoly(side=P.side)
+    for m, coeff in enumerate(P.coeffs):
+        if coeff.is_zero():
+            continue
+        C = to_canonical(SlicePolynomial.monomial(m, 1.0, P.side))
+        for letter in reversed(word):
+            C = apply_operator(letter, C)
+        for (a, b), c in C.terms.items():
+            if c[0] != 0.0:
+                out._add_term(a, b, coeff * c[0])
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_WORDS))
+def test_apply_word_matches_clifford_engine_bit_for_bit(kind):
+    rng = np.random.default_rng(8)
+    for side in (LEFT, RIGHT):
+        P = SlicePolynomial([Multivector(rng.normal(size=32))
+                             for _ in range(41)], side)
+        got = apply_word(KIND_WORDS[kind], P)
+        ref = _clifford_engine_apply(KIND_WORDS[kind], P)
+        assert ([(k, c.c.tobytes()) for k, c in got.terms.items()]
+                == [(k, c.c.tobytes()) for k, c in ref.terms.items()])
 
 
 def test_anchor_values():

@@ -1,7 +1,10 @@
 import json
+import re
+import time
 
 import pytest
 
+from finestruct import harness
 from finestruct.errors import ConfigError, UnknownSuite
 from finestruct.harness import (
     DEFAULTS,
@@ -88,6 +91,30 @@ def test_identities_suite_size_and_determinism():
     r2 = run_suite(cfg)
     assert len(r1["checks"]) >= 90
     assert emit(r1) == emit(r2)
+
+
+def test_timing_sums_to_suite_time(capsys):
+    report = run_suite(parse_config(["--suite", "identities", "--timing"]))
+    total = float(re.search(r"suite identities: (\d+) ms",
+                            capsys.readouterr().err).group(1))
+    ms = [c["ms"] for c in report["checks"]]
+    assert abs(sum(ms) - total) <= max(0.05 * total, len(ms) * 1.0)
+
+
+def test_timing_measures_each_check(monkeypatch, capsys):
+    # A check's time is the span since the previous one finished, not a
+    # share of the suite total.
+    def suite(cfg, tol):
+        time.sleep(0.2)
+        yield ("structures.slow", 0.0, 0.0, None)
+        yield ("structures.fast", 0.0, 0.0, None)
+
+    monkeypatch.setitem(harness._SUITE_FUNCS, "structures", suite)
+    report = run_suite(parse_config(["--suite", "structures", "--timing"]))
+    capsys.readouterr()
+    ms = {c["id"]: c["ms"] for c in report["checks"]}
+    assert ms["structures.slow"] >= 190
+    assert ms["structures.fast"] <= 50
 
 
 def test_emit_formats():

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from finestruct.clifford_core import Multivector, paravector_norm_sq
+from finestruct import fueter_ops
+from finestruct.clifford_core import (
+    Multivector,
+    paravector_inverse,
+    paravector_norm_sq,
+)
 from finestruct.errors import OutsideConvergenceDisk, SpectralSphereHit
-from finestruct.fueter_ops import KIND_WORDS, fd_apply
+from finestruct.fueter_ops import KIND_WORDS, apply_operator, fd_apply, word_image
 from finestruct.kernels import (
     GAMMA_5,
     cauchy_kernel,
@@ -15,7 +20,13 @@ from finestruct.kernels import (
     p0_residual,
     pseudo_kernel,
 )
-from finestruct.slice_poly import LEFT, RIGHT
+from finestruct.slice_poly import (
+    LEFT,
+    RIGHT,
+    SlicePolynomial,
+    canonical_eval,
+    to_canonical,
+)
 
 FINE_KINDS = ("D", "Delta", "DeltaD", "Dbar", "Dbar2", "D2", "DeltaDbar")
 ALL_KINDS = FINE_KINDS + ("F5", "Cauchy")
@@ -83,6 +94,53 @@ def test_series_matches_closed_form(kind):
             series = fine_kernel_series(kind, side, s, x, 60)
             assert (series - closed).norm_inf() < 1e-10 * max(
                 1.0, closed.norm_inf())
+
+
+def _canonical_series(kind, side, s, x, N):
+    """The series through Clifford-coefficient canonical images of x^m."""
+    s_inv = paravector_inverse(s)
+    acc, s_pow = Multivector(), s_inv
+    for m in range(N + 1):
+        C = to_canonical(SlicePolynomial.monomial(m, 1.0, side))
+        for letter in reversed(KIND_WORDS[kind]):
+            C = apply_operator(letter, C)
+        value = canonical_eval(C, x)
+        acc = acc + (value * s_pow if side == LEFT else s_pow * value)
+        s_pow = s_pow * s_inv
+    return acc
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_series_matches_canonical_image_reference(kind):
+    rng = np.random.default_rng(9)
+    s, x = rand_pair(rng, ratio=0.3)
+    for xx in (x, Multivector.scalar(0.35)):  # generic and on the real axis
+        for side in (LEFT, RIGHT):
+            ref = _canonical_series(kind, side, s, xx, 40)
+            got = fine_kernel_series(kind, side, s, xx, 40)
+            assert (got - ref).norm_inf() <= 1e-14 * ref.norm_inf()
+
+
+def test_series_reuses_memoised_images(monkeypatch):
+    # The images of x^m are built once per word; a second series of the
+    # same kind, even on the other side, applies no letter at all.
+    letters = 0
+    int_letter = fueter_ops._int_letter
+
+    def counting(letter, terms):
+        nonlocal letters
+        letters += 1
+        return int_letter(letter, terms)
+
+    monkeypatch.setattr(fueter_ops, "_int_letter", counting)
+    word_image.cache_clear()
+    s, x = rand_pair(np.random.default_rng(10), ratio=0.3)
+    fine_kernel_series("DeltaD", LEFT, s, x, 30)
+    assert letters > 0
+    letters, misses = 0, word_image.cache_info().misses
+    fine_kernel_series("DeltaD", RIGHT, s, x, 30)
+    assert letters == 0
+    assert word_image.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("kind", FINE_KINDS)
