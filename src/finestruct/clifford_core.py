@@ -152,9 +152,6 @@ class Multivector:
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.c)))
 
-    def norm2(self) -> float:
-        return float(np.linalg.norm(self.c))
-
     def grade_part(self, g: int) -> "Multivector":
         c = np.where(GRADE == g, self.c, 0.0)
         return Multivector._wrap(c)
@@ -217,6 +214,22 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     return Multivector._wrap(np.add.reduce(terms, axis=0, initial=0.0))
 
 
+def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise product of two (n, 32) coefficient arrays, bit for bit equal
+    to mv_mul on each row.
+
+    The sum runs over the blades a that are nonzero in any row of A, in
+    ascending order, from 0.0.  In a row whose A[a] is zero, that blade adds
+    signed zeros (B finite), which leave a sum started at +0.0 unchanged, so
+    each row gets the bits of its own mv_mul.  Temporaries stay (n, 32).
+    """
+    signed = np.concatenate((B, -B), axis=1)
+    acc = np.zeros(A.shape)
+    for a in np.flatnonzero(np.any(A != 0.0, axis=0)):
+        acc += A[:, a, None] * signed[:, SIGNED_INDEX[a]]
+    return acc
+
+
 def is_paravector(x: Multivector, atol: float = ATOL_DEFAULT) -> bool:
     higher = np.delete(x.c, PARAVECTOR_MASKS)
     return bool(np.max(np.abs(higher), initial=0.0) <= atol)
@@ -232,6 +245,13 @@ def paravector_norm_sq(x: Multivector) -> float:
     # inputs, and results are kept to the bit.
     c = x.c.tolist()
     return c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + c[4] ** 2 + c[8] ** 2 + c[16] ** 2
+
+
+def paravector_norm_sq_rows(X: np.ndarray) -> np.ndarray:
+    """paravector_norm_sq of each row of X (n, 32), with the same ** 2."""
+    return np.array([c0 ** 2 + c1 ** 2 + c2 ** 2 + c4 ** 2 + c8 ** 2 + c16 ** 2
+                     for c0, c1, c2, c4, c8, c16
+                     in X[:, list(PARAVECTOR_MASKS)].tolist()])
 
 
 def paravector_inverse(x: Multivector) -> Multivector:

@@ -15,7 +15,16 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from .clifford_core import Multivector, ONE, ZERO
+import numpy as np
+
+from .clifford_core import (
+    DIM,
+    LEFT_SIGNED,
+    PARAVECTOR_MASKS,
+    SIGNED_INDEX,
+    Multivector,
+    ZERO,
+)
 from .errors import AxisTooClose
 from .slice_poly import (
     LEFT,
@@ -244,86 +253,120 @@ def sum_lemma_2(m: int) -> bool:
 
 # -- finite-difference application ----------------------------------------------
 
+# At most this many points go to one call of fd_apply_batch's F.
+_FD_BLOCK = 256
 
-# The unit directions of the six paravector coordinates x0, x1, ..., x5.
-_UNITS = (ONE,) + tuple(Multivector.basis(1 << i) for i in range(5))
+# Coefficients of the unit directions of x0, x1, ..., x5.
+_UNIT_ROWS = np.eye(DIM)[list(PARAVECTOR_MASKS)]
 
-
-def _fd_first_order(g, x: Multivector, h: float, conj: bool, side: str) -> Multivector:
-    """d0 g + sum_i e_i di g (Dbar: minus the sum), e_i on the given side,
-    from central first differences."""
-    scale = 1.0 / (2.0 * h)
-    partials = []
-    for e in _UNITS:
-        step = e * h
-        partials.append((g(x + step) - g(x - step)) * scale)
-    acc = partials[0]
-    for e, d in zip(_UNITS[1:], partials[1:]):
-        term = e * d if side == LEFT else d * e
-        acc = acc - term if conj else acc + term
-    return acc
+# e_i d (left) and d e_i (right) for the units e_1 ... e_5, as indices into
+# [d, -d]: the signed permutation that mv_mul applies.
+_UNIT_PRODUCT = {
+    LEFT: SIGNED_INDEX[list(PARAVECTOR_MASKS[1:])],
+    RIGHT: LEFT_SIGNED[:, list(PARAVECTOR_MASKS[1:])].T,
+}
 
 
-def _fd_laplacian(g, x: Multivector, h: float, center2: Multivector) -> Multivector:
-    """Central second differences summed over the six coordinates; center2
-    is twice the value of g at x."""
-    scale = 1.0 / (h * h)
-    acc = ZERO
-    for e in _UNITS:
-        step = e * h
-        acc = acc + (g(x + step) - center2 + g(x - step)) * scale
-    return acc
+def _richardson_steps(step: float) -> tuple[float, float, float]:
+    return step, 2.0 * step, 4.0 * step
 
 
-def _fd_letter(letter: str, g, x: Multivector, h: float, side: str) -> Multivector:
-    """One central-difference letter with two Richardson extrapolation levels
-    (steps h, 2h, 4h; the even-power error expansion leaves O(h^6))."""
-    if letter == "D":
-        def stencil(step):
-            return _fd_first_order(g, x, step, False, side)
-    elif letter == "Dbar":
-        def stencil(step):
-            return _fd_first_order(g, x, step, True, side)
-    elif letter == "Delta":
-        center2 = g(x) * 2.0
-
-        def stencil(step):
-            return _fd_laplacian(g, x, step, center2)
-    else:
+def _letter_offsets(letter: str, step: float) -> np.ndarray:
+    """Offsets of one letter's stencil points, shape (36, 32): for each of
+    the Richardson steps, for each unit e of x0, x1, ..., x5, the pair
+    +e step, -e step."""
+    if letter not in ("D", "Dbar", "Delta"):
         raise ValueError(f"unknown letter {letter!r}")
-    s_h, s_2h, s_4h = stencil(h), stencil(2.0 * h), stencil(4.0 * h)
+    units = np.array(_richardson_steps(step))[:, None, None] * _UNIT_ROWS
+    return np.stack((units, -units), axis=2).reshape(-1, DIM)
+
+
+def _fd_reduce(letter: str, V: np.ndarray, step: float, side: str) -> np.ndarray:
+    """One letter's central differences and two Richardson levels.  The
+    rows of V (m * 36 or m * 37, 32) hold, for each of m outer points, the
+    values at the points of _letter_offsets, the Laplacian's centre first;
+    the result has shape (m, 32)."""
+    if letter == "Delta":
+        V = V.reshape(-1, 37, DIM)
+        center2 = V[:, 0] * 2.0
+        V = V[:, 1:]
+    V = V.reshape(-1, 3, 6, 2, DIM)
+    stencils = []
+    for j, st in enumerate(_richardson_steps(step)):
+        plus, minus = V[:, j, :, 0], V[:, j, :, 1]
+        if letter == "Delta":
+            # Central second differences summed over the six coordinates.
+            terms = ((plus - center2[:, None]) + minus) * (1.0 / (st * st))
+            acc = np.zeros((len(V), DIM))
+            for i in range(6):
+                acc = acc + terms[:, i]
+        else:
+            # d0 g + sum_i e_i di g (Dbar: minus the sum), e_i on the side.
+            partials = (plus - minus) * (1.0 / (2.0 * st))
+            acc = partials[:, 0]
+            for i, index in enumerate(_UNIT_PRODUCT[side], 1):
+                d = partials[:, i]
+                term = 0.0 + np.concatenate((d, -d), axis=1)[:, index]
+                acc = acc - term if letter == "Dbar" else acc + term
+        stencils.append(acc)
+    s_h, s_2h, s_4h = stencils
     r1_h = (s_h * 4.0 - s_2h) * (1.0 / 3.0)
     r1_2h = (s_2h * 4.0 - s_4h) * (1.0 / 3.0)
     return (r1_h * 16.0 - r1_2h) * (1.0 / 15.0)
 
 
-def fd_apply(word, f, x: Multivector, h: float = 1e-3, side: str = LEFT,
-             step_growth: float = 4.0) -> Multivector:
-    """Numerically apply a word of operators to a smooth function f at x.
+def fd_apply_batch(word, F, x: Multivector, h: float = 1e-3, side: str = LEFT,
+                   step_growth: float = 4.0) -> Multivector:
+    """Numerically apply a word of operators to a smooth function at x.
+
+    F maps an (n, 32) array of points to the (n, 32) array of their values;
+    it is called on blocks of at most 256 rows.
 
     Each letter is a central difference per coordinate at the steps h, 2h
     and 4h, combined by two Richardson extrapolation levels, so a single
-    letter is accurate to O(h^6).  Each step's stencil is evaluated once, and
-    the Laplacian's centre value once per letter: a letter calls its
-    argument 36 times (D, Dbar) or 37 times (Delta).  Letters are applied
-    right to left (composition order), and every call of an outer letter's
-    argument is a whole application of the inner word.  Outer letters use a
-    step enlarged by step_growth per composition level: differencing an
-    already-differenced value amplifies rounding noise by 1/step^2, so the
-    outer step must grow for composed words to stay near the accuracy of a
-    single letter.
+    letter is accurate to O(h^6).  Letters apply right to left (composition
+    order), and letter i of a word of length L uses the step
+    h * step_growth ** (L - 1 - i): differencing an already-differenced
+    value amplifies rounding noise by 1/step^2, so the outer steps must grow
+    for composed words to stay near the accuracy of a single letter.
+
+    A letter has 36 stencil points (3 steps x 6 coordinates x 2 signs); the
+    Laplacian has its centre as a 37th.  The leaf points of the nested
+    stencils are built as (x + d_outer) + d_inner, in nesting order, and F
+    evaluates each of them exactly once: 36 points for D and Dbar, 37 for
+    Delta, 37 x 36 for Delta∘D.  Coincident points are not merged.  The
+    values are then reduced innermost letter first, each letter with the
+    float operations of a single-letter stencil, for all points of the outer
+    letters at once.
     """
     word = tuple(word)
-    if not word:
-        return f(x)
-    head, rest = word[0], word[1:]
-    if rest:
-        def g(y, _rest=rest):
-            return fd_apply(_rest, f, y, h, side, step_growth)
-    else:
-        g = f
-    step = h * step_growth ** len(rest)
-    return _fd_letter(head, g, x, step, side)
+    steps = [h * step_growth ** (len(word) - 1 - i) for i in range(len(word))]
+    points = x.c[None, :]
+    for letter, step in zip(word, steps):
+        moved = points[:, None, :] + _letter_offsets(letter, step)
+        if letter == "Delta":
+            moved = np.concatenate((points[:, None, :], moved), axis=1)
+        points = moved.reshape(-1, DIM)
+    values = np.empty_like(points)
+    for i in range(0, len(points), _FD_BLOCK):
+        values[i:i + _FD_BLOCK] = F(points[i:i + _FD_BLOCK])
+    for letter, step in zip(reversed(word), reversed(steps)):
+        values = _fd_reduce(letter, values, step, side)
+    return Multivector._wrap(values[0])
+
+
+def fd_apply(word, f, x: Multivector, h: float = 1e-3, side: str = LEFT,
+             step_growth: float = 4.0) -> Multivector:
+    """fd_apply_batch for a function f of one Multivector point.
+
+    f is called once per stencil point (D, Dbar: 36 calls; Delta: 37;
+    Delta∘D: 37 x 36), at the same points, and the result is the same bit
+    for bit.
+    """
+    def F(Y):
+        return np.array([f(Multivector(y)).c for y in Y])
+
+    return fd_apply_batch(word, F, x, h, side, step_growth)
 
 
 # -- axial representation and the printed PDE systems ---------------------------
@@ -404,66 +447,20 @@ SYSTEM_WORDS = {
 }
 
 
-class _Partials:
-    """Partial-derivative evaluator at a fixed point for A or B."""
-
-    def __init__(self, fun, x0: float, r: float, h: float = 1e-2):
-        self.x0 = x0
-        self.r = r
-        self.h = h
-        if isinstance(fun, AxialPoly):
-            self.poly = fun
-            self.fun = None
-        else:
-            self.poly = None
-            self.fun = fun
-
-    def __call__(self, i: int, j: int) -> Multivector:
-        if self.poly is not None:
-            return self.poly.deriv(i, j)(self.x0, self.r)
-        fine = self._stencil(i, j, self.h)
-        coarse = self._stencil(i, j, 2.0 * self.h)
-        return (fine * 4.0 - coarse) * (1.0 / 3.0)
-
-    def _stencil(self, i: int, j: int, h: float) -> Multivector:
-        wi = _central_weights(i)
-        wj = _central_weights(j)
-        acc = ZERO
-        for oi, ci in wi:
-            for oj, cj in wj:
-                v = self.fun(self.x0 + oi * h, self.r + oj * h)
-                if not isinstance(v, Multivector):
-                    v = Multivector.scalar(float(v))
-                acc = acc + v * (ci * cj / (h ** (i + j)))
-        return acc
-
-
-def _central_weights(order: int):
-    if order == 0:
-        return [(0, 1.0)]
-    if order == 1:
-        return [(-1, -0.5), (1, 0.5)]
-    if order == 2:
-        return [(-1, 1.0), (0, -2.0), (1, 1.0)]
-    if order == 3:
-        return [(-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)]
-    if order == 4:
-        return [(-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)]
-    raise ValueError("stencil order up to 4 only")
-
-
-def vekua_residual(sys: str, A, B, p, r_min: float = 0.1,
-                   h: float = 1e-2) -> tuple[Multivector, Multivector]:
-    """Evaluate both equations of the named axial PDE system at p = (x0, r).
-
-    A and B are either AxialPoly values (exact partials) or callables
-    (x0, r) -> Multivector (central stencils with one Richardson level).
-    """
+def vekua_residual(sys: str, A: AxialPoly, B: AxialPoly, p,
+                   r_min: float = 0.1) -> tuple[Multivector, Multivector]:
+    """Evaluate both equations of the named axial PDE system at p = (x0, r),
+    with the exact partial derivatives of the axial polynomials A and B."""
     x0, r = float(p[0]), float(p[1])
     if r < r_min:
         raise AxisTooClose(f"r = {r} below r_min = {r_min}")
-    a = _Partials(A, x0, r, h)
-    b = _Partials(B, x0, r, h)
+
+    def a(i: int, j: int) -> Multivector:
+        return A.deriv(i, j)(x0, r)
+
+    def b(i: int, j: int) -> Multivector:
+        return B.deriv(i, j)(x0, r)
+
     if sys == "AntiCliffordian":
         res1 = (a(3, 0) + a(1, 2) + a(1, 1) * (4 / r) + b(2, 1) + b(0, 3)
                 + b(0, 2) * (8 / r) + b(0, 1) * (8 / r ** 2)

@@ -11,14 +11,19 @@ from __future__ import annotations
 
 from math import sqrt
 
+import numpy as np
+
 from .clifford_core import (
+    CONJUGATE_SIGNS,
     Multivector,
     ONE,
     ZERO,
     axis_decompose,
+    mv_mul_rows,
     paravector_conjugate,
     paravector_inverse,
     paravector_norm_sq,
+    paravector_norm_sq_rows,
 )
 from .errors import OutsideConvergenceDisk, SpectralSphereHit
 from .fueter_ops import KIND_WORDS, word_image
@@ -82,6 +87,26 @@ def cauchy_kernel(side: str, form: str, s: Multivector, x: Multivector) -> Multi
             return s_minus_xbar * q_inv
         return q_inv * s_minus_xbar
     raise ValueError(f"form must be 'I' or 'II', got {form!r}")
+
+
+def cauchy_kernel_batch(side: str, s: Multivector, X: np.ndarray) -> np.ndarray:
+    """cauchy_kernel(side, "II", s, x) for each row x of X (n, 32), bit for
+    bit: the float operations of pseudo_kernel, _q_inverse_power and
+    inverse_power, row by row.  Raises SpectralSphereHit if any row lies on
+    the sphere of s."""
+    nx = paravector_norm_sq_rows(X)
+    shift = np.zeros_like(X)
+    shift[:, 0] = nx
+    q = ((s * s).c - s.c * (2.0 * X[:, 0])[:, None]) + shift
+    nq = paravector_norm_sq_rows(q)
+    bound = 1e-10 * (1.0 + paravector_norm_sq(s) + nx)
+    if np.any(np.sqrt(nq) <= bound):
+        raise SpectralSphereHit("x lies on the sphere of s within tolerance")
+    q_inv = q * (CONJUGATE_SIGNS * (1.0 / nq)[:, None]) + 0.0
+    s_minus_xbar = s.c - X * CONJUGATE_SIGNS
+    if side == LEFT:
+        return mv_mul_rows(s_minus_xbar, q_inv)
+    return mv_mul_rows(q_inv, s_minus_xbar)
 
 
 def f5_kernel(side: str, s: Multivector, x: Multivector) -> Multivector:

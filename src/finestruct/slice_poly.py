@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
+
 from .clifford_core import (
     Multivector,
     ZERO,
     ONE,
     axis_decompose,
     close,
+    mv_mul_rows,
 )
 from .errors import AxisSingularity
 
@@ -190,6 +193,37 @@ def canonical_eval(C: CanonicalPoly, x: Multivector) -> Multivector:
                 continue
             factor = omega * (scalar * r)
         acc = acc + (factor * c if C.side == LEFT else c * factor)
+    return acc
+
+
+def canonical_eval_rows(C: CanonicalPoly, X: np.ndarray) -> np.ndarray:
+    """canonical_eval(C, x) for each row x of X (n, 32), bit for bit.
+
+    (x0, r, omega) and the scalar factor of each term come from
+    axis_decompose and Python floats per point, as in canonical_eval; the
+    products with the coefficients and the sum over terms run on all rows
+    at once.  A point on the axis (omega None) adds +0.0 for each odd term,
+    which leaves its sum unchanged.
+    """
+    axes = [axis_decompose(Multivector(x)) for x in X]
+    rs = np.array([r for _, r, _ in axes])
+    omega = np.zeros_like(X)
+    for row, (_, _, w) in enumerate(axes):
+        if w is not None:
+            omega[row] = w.c
+    acc = np.zeros_like(X)
+    for (a, b), c in C.terms.items():
+        scalar = np.array([(x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
+                           for x0, r, _ in axes])
+        if b % 2 == 0:
+            # A real scalar times c, either side: 0.0 + scalar * c, as mv_mul.
+            term = 0.0 + scalar[:, None] * c.c
+        else:
+            factor = omega * (scalar * rs)[:, None]
+            cs = np.broadcast_to(c.c, X.shape)
+            term = (mv_mul_rows(factor, cs) if C.side == LEFT
+                    else mv_mul_rows(cs, factor))
+        acc = acc + term
     return acc
 
 
