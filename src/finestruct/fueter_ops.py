@@ -49,20 +49,6 @@ KIND_WORDS = {
     "Cauchy": (),
 }
 
-# Degree of the annihilating polynomial of each kind (the total derivative
-# order of its word).
-KIND_ORDER = {
-    "Cauchy": 0,
-    "D": 1,
-    "Dbar": 1,
-    "Delta": 2,
-    "D2": 2,
-    "Dbar2": 2,
-    "DeltaD": 3,
-    "DeltaDbar": 3,
-    "F5": 4,
-}
-
 # Annihilator word of each fine-structure space.
 TAG_WORDS = {
     "AM": ("D",),
@@ -90,6 +76,11 @@ def word_degrees(word) -> tuple[int, int]:
         else:
             raise ValueError(f"unknown letter {letter!r}")
     return a, b
+
+
+# Degree of the annihilating polynomial of each kind (the total derivative
+# order of its word).
+KIND_ORDER = {kind: sum(word_degrees(word)) for kind, word in KIND_WORDS.items()}
 
 
 # -- exact operator action on the canonical form ------------------------------

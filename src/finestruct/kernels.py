@@ -5,6 +5,13 @@ All kernels are rational in the commuting pseudo Cauchy kernel
 Q(s, x) = s^2 - 2 x0 s + |x|^2 (a paravector commuting with s, x0 and every
 scalar, but not with x or its conjugate), so factor order is semantic and is
 preserved exactly.
+
+The closed forms live in one table, KERNEL_TERMS: each kind is a sum of
+terms c * L Q^(-k) R, written for the left kernel, with L and R among
+s - xbar, s - x0, (s - x0)^2, x - s or nothing.  The right kernel is the
+mirror image: L and R swap places.  kernel_from_table evaluates a row for
+any ring in which these factors and Q^(-k) can be built; fine_kernel reads it
+with multivectors and op_calculus.fine_resolvent with operators (x -> T).
 """
 
 from __future__ import annotations
@@ -60,13 +67,71 @@ def inverse_power(q: Multivector, k: int) -> Multivector:
     return out
 
 
-def _q_inverse_power(s: Multivector, x: Multivector, k: int) -> Multivector:
-    """Q(s, x)^(-k) with the sphere guard |Q| > 1e-10 (1 + |s|^2 + |x|^2)."""
+def _guarded_q(s: Multivector, x: Multivector) -> Multivector:
+    """Q(s, x) with the sphere guard |Q| > 1e-10 (1 + |s|^2 + |x|^2)."""
     q = pseudo_kernel("commutative", s, x)
     bound = 1e-10 * (1.0 + paravector_norm_sq(s) + paravector_norm_sq(x))
     if sqrt(paravector_norm_sq(q)) <= bound:
         raise SpectralSphereHit("x lies on the sphere of s within tolerance")
-    return inverse_power(q, k)
+    return q
+
+
+def _q_inverse_power(s: Multivector, x: Multivector, k: int) -> Multivector:
+    return inverse_power(_guarded_q(s, x), k)
+
+
+# Factors of the kernel-formula table.
+S_MINUS_XBAR = "s - xbar"
+S_MINUS_X0 = "s - x0"
+S_MINUS_X0_SQ = "(s - x0)^2"
+X_MINUS_S = "x - s"
+
+# Left kernel of each kind: terms (c, L, k, R) meaning c ((L Q^(-k)) R).
+KERNEL_TERMS = {
+    "D": ((-4.0, None, 1, None),),
+    "Delta": ((-8.0, S_MINUS_XBAR, 2, None),),
+    "DeltaD": ((16.0, None, 2, None),),
+    "Dbar": ((4.0, S_MINUS_XBAR, 2, S_MINUS_X0), (2.0, None, 1, None)),
+    "Dbar2": ((32.0, S_MINUS_XBAR, 3, S_MINUS_X0_SQ),),
+    "D2": ((8.0, X_MINUS_S, 2, None),),
+    "DeltaDbar": ((-64.0, S_MINUS_XBAR, 3, S_MINUS_X0),),
+    "F5": ((GAMMA_5, S_MINUS_XBAR, 3, None),),
+    "Cauchy": ((1.0, S_MINUS_XBAR, 1, None),),
+}
+
+
+def kernel_from_table(kind: str, side: str, factor, q_power):
+    """Sum of the KERNEL_TERMS row of kind, mirrored for the right side.
+
+    factor(name) builds S_MINUS_XBAR, S_MINUS_X0 or X_MINUS_S and is called
+    only for the factors the row uses; q_power(k) gives Q^(-k).  The terms
+    are summed in table order from the first one, not from zero, which would
+    turn a -0.0 into +0.0."""
+    terms = KERNEL_TERMS.get(kind)
+    if terms is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    acc = None
+    for c, left, k, right in terms:
+        if side != LEFT:
+            left, right = right, left
+        term = q_power(k)
+        if left is not None:
+            term = _build_factor(factor, left) * term
+        if right is not None:
+            term = term * _build_factor(factor, right)
+        if c != 1.0:
+            # A scalar multiplies elementwise from either side; from the
+            # left, CliffordMatrix.__mul__ sees only ring products.
+            term = c * term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _build_factor(factor, name):
+    if name == S_MINUS_X0_SQ:
+        f = factor(S_MINUS_X0)
+        return f * f
+    return factor(name)
 
 
 def cauchy_kernel(side: str, form: str, s: Multivector, x: Multivector) -> Multivector:
@@ -81,11 +146,7 @@ def cauchy_kernel(side: str, form: str, s: Multivector, x: Multivector) -> Multi
             return qn_inv * sbar_minus_x
         return sbar_minus_x * qn_inv
     if form == "II":
-        q_inv = _q_inverse_power(s, x, 1)
-        s_minus_xbar = s - paravector_conjugate(x)
-        if side == LEFT:
-            return s_minus_xbar * q_inv
-        return q_inv * s_minus_xbar
+        return fine_kernel("Cauchy", side, s, x)
     raise ValueError(f"form must be 'I' or 'II', got {form!r}")
 
 
@@ -110,53 +171,21 @@ def cauchy_kernel_batch(side: str, s: Multivector, X: np.ndarray) -> np.ndarray:
 
 
 def f5_kernel(side: str, s: Multivector, x: Multivector) -> Multivector:
-    q3 = _q_inverse_power(s, x, 3)
-    s_minus_xbar = s - paravector_conjugate(x)
-    if side == LEFT:
-        return s_minus_xbar * q3 * GAMMA_5
-    return q3 * s_minus_xbar * GAMMA_5
+    return fine_kernel("F5", side, s, x)
 
 
 def fine_kernel(kind: str, side: str, s: Multivector, x: Multivector) -> Multivector:
     """Closed form of the kernel associated with the operator word of kind."""
-    if kind == "Cauchy":
-        return cauchy_kernel(side, "II", s, x)
-    if kind == "F5":
-        return f5_kernel(side, s, x)
-    s_minus_xbar = s - paravector_conjugate(x)
-    s_minus_x0 = s - Multivector.scalar(x[0])
-    if kind == "D":
-        return _q_inverse_power(s, x, 1) * (-4.0)
-    if kind == "Delta":
-        q2 = _q_inverse_power(s, x, 2)
-        if side == LEFT:
-            return s_minus_xbar * q2 * (-8.0)
-        return q2 * s_minus_xbar * (-8.0)
-    if kind == "DeltaD":
-        return _q_inverse_power(s, x, 2) * 16.0
-    if kind == "Dbar":
-        q1 = _q_inverse_power(s, x, 1)
-        q2 = _q_inverse_power(s, x, 2)
-        if side == LEFT:
-            return s_minus_xbar * q2 * s_minus_x0 * 4.0 + q1 * 2.0
-        return s_minus_x0 * q2 * s_minus_xbar * 4.0 + q1 * 2.0
-    if kind == "Dbar2":
-        q3 = _q_inverse_power(s, x, 3)
-        sq = s_minus_x0 * s_minus_x0
-        if side == LEFT:
-            return s_minus_xbar * q3 * sq * 32.0
-        return sq * q3 * s_minus_xbar * 32.0
-    if kind == "D2":
-        q2 = _q_inverse_power(s, x, 2)
-        if side == LEFT:
-            return (x - s) * q2 * 8.0
-        return q2 * (x - s) * 8.0
-    if kind == "DeltaDbar":
-        q3 = _q_inverse_power(s, x, 3)
-        if side == LEFT:
-            return s_minus_xbar * q3 * s_minus_x0 * (-64.0)
-        return s_minus_x0 * q3 * s_minus_xbar * (-64.0)
-    raise ValueError(f"unknown kind {kind!r}")
+    q = _guarded_q(s, x)
+
+    def factor(name):
+        if name == S_MINUS_XBAR:
+            return s - paravector_conjugate(x)
+        if name == S_MINUS_X0:
+            return s - Multivector.scalar(x[0])
+        return x - s
+
+    return kernel_from_table(kind, side, factor, lambda k: inverse_power(q, k))
 
 
 def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,

@@ -33,6 +33,7 @@ from .errors import (
     SpectrumNotEnclosed,
 )
 from .fueter_ops import KIND_WORDS, apply_word, monomial_image
+from .kernels import S_MINUS_X0, S_MINUS_XBAR, kernel_from_table
 from .slice_poly import (
     LEFT,
     RIGHT,
@@ -236,66 +237,21 @@ def q_resolvent(T: OperatorTuple, s: Multivector, k: int = 1) -> CliffordMatrix:
     return CliffordMatrix(a)
 
 
-def sc_resolvent(side: str, T: OperatorTuple, s: Multivector) -> CliffordMatrix:
-    q1 = q_resolvent(T, s, 1)
-    s_minus_tbar = CliffordMatrix.from_multivector(s, T.d) - T.conj_clifford()
-    if side == LEFT:
-        return s_minus_tbar * q1
-    return q1 * s_minus_tbar
-
-
-def f5_resolvent(side: str, T: OperatorTuple, s: Multivector) -> CliffordMatrix:
-    q3 = q_resolvent(T, s, 3)
-    s_minus_tbar = CliffordMatrix.from_multivector(s, T.d) - T.conj_clifford()
-    if side == LEFT:
-        return (s_minus_tbar * q3).scale(64.0)
-    return (q3 * s_minus_tbar).scale(64.0)
-
-
 def fine_resolvent(kind: str, side: str, T: OperatorTuple,
                    s: Multivector) -> CliffordMatrix:
-    """Resolvent operator of the fine structure, factor order as printed."""
-    if kind in ("Cauchy", "SC"):
-        return sc_resolvent(side, T, s)
-    if kind == "F5":
-        return f5_resolvent(side, T, s)
-    d = T.d
-    sI = CliffordMatrix.from_multivector(s, d)
-    s_minus_tbar = sI - T.conj_clifford()
-    s_minus_t0 = sI - CliffordMatrix.from_blade(0, T.T0)
-    if kind == "D":
-        return q_resolvent(T, s, 1).scale(-4.0)
-    if kind == "Delta":
-        q2 = q_resolvent(T, s, 2)
-        if side == LEFT:
-            return (s_minus_tbar * q2).scale(-8.0)
-        return (q2 * s_minus_tbar).scale(-8.0)
-    if kind == "DeltaD":
-        return q_resolvent(T, s, 2).scale(16.0)
-    if kind == "Dbar":
-        q1 = q_resolvent(T, s, 1)
-        q2 = q_resolvent(T, s, 2)
-        if side == LEFT:
-            return (s_minus_tbar * q2 * s_minus_t0).scale(4.0) + q1.scale(2.0)
-        return (s_minus_t0 * q2 * s_minus_tbar).scale(4.0) + q1.scale(2.0)
-    if kind == "Dbar2":
-        q3 = q_resolvent(T, s, 3)
-        sq = s_minus_t0 * s_minus_t0
-        if side == LEFT:
-            return (s_minus_tbar * q3 * sq).scale(32.0)
-        return (sq * q3 * s_minus_tbar).scale(32.0)
-    if kind == "D2":
-        q2 = q_resolvent(T, s, 2)
-        t_minus_s = T.as_clifford() - sI
-        if side == LEFT:
-            return (t_minus_s * q2).scale(8.0)
-        return (q2 * t_minus_s).scale(8.0)
-    if kind == "DeltaDbar":
-        q3 = q_resolvent(T, s, 3)
-        if side == LEFT:
-            return (s_minus_tbar * q3 * s_minus_t0).scale(-64.0)
-        return (s_minus_t0 * q3 * s_minus_tbar).scale(-64.0)
-    raise ValueError(f"unknown kind {kind!r}")
+    """Resolvent operator of the fine structure: the kernel-formula table
+    with x -> T ("SC" is the Cauchy row), factor order as printed."""
+    sI = CliffordMatrix.from_multivector(s, T.d)
+
+    def factor(name):
+        if name == S_MINUS_XBAR:
+            return sI - T.conj_clifford()
+        if name == S_MINUS_X0:
+            return sI - CliffordMatrix.from_blade(0, T.T0)
+        return T.as_clifford() - sI
+
+    return kernel_from_table("Cauchy" if kind == "SC" else kind, side, factor,
+                             lambda k: q_resolvent(T, s, k))
 
 
 def _slice_inverse_powers(s: Multivector, N: int) -> list:
@@ -429,7 +385,7 @@ def f5_moment(T: OperatorTuple, c, j: int) -> CliffordMatrix:
 
 def p0_operator_residual(T: OperatorTuple, s: Multivector) -> CliffordMatrix:
     """F₅ᴸ(s,T)s − T F₅ᴸ(s,T) − 64 Q(s,T)⁻²; identically zero."""
-    F = f5_resolvent(LEFT, T, s)
+    F = fine_resolvent("F5", LEFT, T, s)
     return (F * s - T.as_clifford() * F
             - q_resolvent(T, s, 2).scale(64.0))
 
@@ -444,10 +400,10 @@ def f_resolvent_equation_residual(T: OperatorTuple, s: Multivector,
         raise SpectralSphereHit("p lies on the sphere of s within tolerance")
     from .clifford_core import paravector_conjugate, paravector_inverse
 
-    F5R_s = f5_resolvent(RIGHT, T, s)
-    F5L_p = f5_resolvent(LEFT, T, p)
-    SL_p = sc_resolvent(LEFT, T, p)
-    SR_s = sc_resolvent(RIGHT, T, s)
+    F5R_s = fine_resolvent("F5", RIGHT, T, s)
+    F5L_p = fine_resolvent("F5", LEFT, T, p)
+    SL_p = fine_resolvent("SC", LEFT, T, p)
+    SR_s = fine_resolvent("SC", RIGHT, T, s)
     Qs1 = q_resolvent(T, s, 1)
     Qs2 = q_resolvent(T, s, 2)
     Qp1 = q_resolvent(T, p, 1)
