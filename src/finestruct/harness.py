@@ -37,6 +37,7 @@ from .fueter_ops import (
     vekua_residual,
 )
 from .kernels import (
+    _q_inverse_power,
     cauchy_kernel,
     cauchy_kernel_batch,
     fine_kernel,
@@ -49,6 +50,7 @@ from .contour import circle, fine_integral_eval, word_eval
 from .op_calculus import (
     CliffordMatrix,
     OperatorTuple,
+    _slice_inverse_powers,
     f5_moment,
     f_resolvent_equation_residual,
     fine_resolvent,
@@ -362,7 +364,6 @@ def _suite_kernels(cfg, tol):
     # the F5 combination, and the FD oracle all agree on; reported as a
     # transcription flag.
     s, x = _seed_kernel_pair(np.random.default_rng(cfg["seed"] + 2))
-    from .kernels import _q_inverse_power
     printed = (s - x) * _q_inverse_power(s, x, 2) * 8.0
     adopted = fine_kernel("D2", LEFT, s, x)
     yield ("kernels.d2_printed_sign",
@@ -516,8 +517,6 @@ def _suite_calculus(cfg, tol):
 
 
 def _es1bis_residual(T: OperatorTuple, s: Multivector, N: int) -> float:
-    from .op_calculus import _slice_inverse_powers
-
     d = T.d
     spows = _slice_inverse_powers(s, N)
     tp = [CliffordMatrix.identity(d)]

@@ -6,6 +6,12 @@ Operators act on V = R_5 (x) R^d and are stored densely as a (32, d, d)
 array of blade coefficient matrices.  Resolvents reduce to complex d x d
 solves in the complexification of the slice plane of s (the pseudo resolvent
 has real matrix coefficients), then re-expand over the blades of J.
+
+Operator words are evaluated in axial form.  The image of x^m under a word
+is the exact integer table word_image (n x0^a x_^b); substituting x0 -> T0
+and x_ -> V = sum_i Ti e_i gives A + V B with real d x d blocks, because the
+components commute and so V^2 = -(T1^2 + ... + T5^2).  The resolvent series
+and exact substitution both read the images this way.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .clifford_core import (
     Multivector,
     PARAVECTOR_MASKS,
     axis_decompose,
+    paravector_conjugate,
+    paravector_inverse,
     paravector_norm_sq,
 )
 from .errors import (
@@ -32,15 +40,14 @@ from .errors import (
     SpectralSphereHit,
     SpectrumNotEnclosed,
 )
-from .fueter_ops import KIND_WORDS, apply_word, monomial_image
+from .fueter_ops import KIND_WORDS, word_image
 from .kernels import S_MINUS_X0, S_MINUS_XBAR, kernel_from_table
 from .slice_poly import (
     LEFT,
     RIGHT,
-    CanonicalPoly,
     SlicePolynomial,
+    eval_slice_poly,
     is_intrinsic,
-    to_canonical,
 )
 
 
@@ -170,13 +177,6 @@ class OperatorTuple:
             a[mask] = -self.mats[i + 1]
         return CliffordMatrix(a)
 
-    def vector_clifford(self) -> CliffordMatrix:
-        """The 1-vector part sum_i Ti e_i."""
-        a = np.zeros((DIM, self.d, self.d))
-        for i, mask in enumerate(PARAVECTOR_MASKS[1:]):
-            a[mask] = self.mats[i + 1]
-        return CliffordMatrix(a)
-
     def norm_bound(self) -> float:
         return float(sum(np.linalg.norm(m, 2) for m in self.mats))
 
@@ -256,8 +256,6 @@ def fine_resolvent(kind: str, side: str, T: OperatorTuple,
 
 def _slice_inverse_powers(s: Multivector, N: int) -> list:
     """[s^-1, s^-2, ..., s^-(N+1)] as multivectors."""
-    from .clifford_core import paravector_inverse
-
     inv = paravector_inverse(s)
     out = [inv]
     for _ in range(N):
@@ -265,63 +263,46 @@ def _slice_inverse_powers(s: Multivector, N: int) -> list:
     return out
 
 
-def canonical_operator_eval(C: CanonicalPoly, T: OperatorTuple) -> CliffordMatrix:
-    """Substitute x0 -> T0, x_ -> sum_i Ti e_i into a canonical polynomial.
+def canonical_operator_eval(image, T: OperatorTuple) -> CliffordMatrix:
+    """Substitute x0 -> T0, x_ -> V = sum_i Ti e_i into a real canonical
+    image {(a, b): n}, meaning sum n x0^a x_^b (such as word_image(word, m)).
 
-    Legitimate because the components commute; blade constants multiply on
-    the coefficient side of the polynomial."""
+    The components commute, so V^2 = -R with R = T1^2 + ... + T5^2 and the
+    result is A + V B: A sums n T0^a (-R)^(b/2) over even b, B sums
+    n T0^a (-R)^((b-1)/2) over odd b.  Needs commutativity only, not
+    diagonalizability."""
     d = T.d
-    out = CliffordMatrix.zero(d)
-    tvec = T.vector_clifford()
-    t0_pows = {0: np.eye(d)}
-    tvec_pows = {0: CliffordMatrix.identity(d)}
-    for (a, b), c in sorted(C.terms.items()):
-        while max(t0_pows) < a:
-            k = max(t0_pows)
-            t0_pows[k + 1] = t0_pows[k] @ T.T0
-        while max(tvec_pows) < b:
-            k = max(tvec_pows)
-            tvec_pows[k + 1] = tvec_pows[k] * tvec
-        term = tvec_pows[b] * CliffordMatrix.from_blade(0, t0_pows[a])
-        cmat = CliffordMatrix.from_multivector(c, d)
-        out = out + (term * cmat if C.side == LEFT else cmat * term)
-    return out
+    t0_pows = [np.eye(d)]
+    r_pows = [np.eye(d)]
+    neg_r = -sum(m @ m for m in T.mats[1:])
+    A = np.zeros((d, d))
+    B = np.zeros((d, d))
+    for (a, b), n in image.items():
+        while len(t0_pows) <= a:
+            t0_pows.append(t0_pows[-1] @ T.T0)
+        while len(r_pows) <= b // 2:
+            r_pows.append(r_pows[-1] @ neg_r)
+        term = float(n) * (t0_pows[a] @ r_pows[b // 2])
+        if b % 2:
+            B += term
+        else:
+            A += term
+    out = np.zeros((DIM, d, d))
+    out[0] = A
+    out[list(PARAVECTOR_MASKS[1:])] = np.asarray(T.mats[1:]) @ B
+    return CliffordMatrix(out)
 
 
 def fine_resolvent_series(kind: str, side: str, T: OperatorTuple,
                           s: Multivector, N: int) -> CliffordMatrix:
-    """Partial sum of the resolvent expansion: the monomial images with
-    T^a Tbar^b matrix powers, times slice powers s^(-1-m)."""
+    """Partial sum of the resolvent expansion: sum over m <= N of the image
+    of x^m under the kind's word, evaluated at T, times s^(-1-m)."""
     if T.norm_bound() >= sqrt(paravector_norm_sq(s)):
         raise OutsideConvergenceDisk("series requires ||T|| < |s|")
-    d = T.d
-    spows = _slice_inverse_powers(s, N)
-    tp = T.as_clifford()
-    tbar = T.conj_clifford()
-    t_pows = {0: CliffordMatrix.identity(d)}
-    tbar_pows = {0: CliffordMatrix.identity(d)}
-
-    def tpow(cache, base, k):
-        while max(cache) < k:
-            j = max(cache)
-            cache[j + 1] = cache[j] * base
-        return cache[k]
-
-    out = CliffordMatrix.zero(d)
-    for m in range(N + 1):
-        if kind in ("Cauchy", "SC"):
-            image = tpow(t_pows, tp, m)
-        elif kind == "F5":
-            C = apply_word(("Delta", "Delta"),
-                           SlicePolynomial.monomial(m, 1.0, side))
-            image = canonical_operator_eval(C, T)
-        else:
-            xb = monomial_image(kind, m, side)
-            image = CliffordMatrix.zero(d)
-            for a, b, c in xb.terms:
-                image = image + (tpow(t_pows, tp, a)
-                                 * tpow(tbar_pows, tbar, b)).scale(float(c[0]))
-        sp = spows[m]
+    word = KIND_WORDS["Cauchy" if kind == "SC" else kind]
+    out = CliffordMatrix.zero(T.d)
+    for m, sp in enumerate(_slice_inverse_powers(s, N)):
+        image = canonical_operator_eval(word_image(word, m), T)
         out = out + (image * sp if side == LEFT else sp * image)
     return out
 
@@ -345,8 +326,6 @@ def poly_calculus_integral(kind: str, side: str, P, T: OperatorTuple,
     if callable(P):
         f = P
     else:
-        from .slice_poly import eval_slice_poly
-
         def f(s, _P=P):
             return eval_slice_poly(_P, s)
     d = T.d
@@ -365,16 +344,13 @@ def poly_calculus_exact(kind: str, side: str, P: SlicePolynomial,
                         T: OperatorTuple) -> CliffordMatrix:
     """Exact substitution oracle: the operator word of the kind applied to
     each monomial, evaluated at x -> T, with the polynomial's coefficients."""
-    d = T.d
-    out = CliffordMatrix.zero(d)
+    out = CliffordMatrix.zero(T.d)
     word = KIND_WORDS["Cauchy" if kind == "SC" else kind]
     for m, coeff in enumerate(P.coeffs):
         if coeff.is_zero():
             continue
-        C = apply_word(word, SlicePolynomial.monomial(m, 1.0, P.side))
-        image = canonical_operator_eval(C, T)
-        cmat = CliffordMatrix.from_multivector(coeff, d)
-        out = out + (image * cmat if side == LEFT else cmat * image)
+        image = canonical_operator_eval(word_image(word, m), T)
+        out = out + (image * coeff if side == LEFT else coeff * image)
     return out
 
 
@@ -398,8 +374,6 @@ def f_resolvent_equation_residual(T: OperatorTuple, s: Multivector,
     bound = 1e-10 * (1.0 + paravector_norm_sq(s) + paravector_norm_sq(p))
     if sqrt(paravector_norm_sq(qs_p)) <= bound:
         raise SpectralSphereHit("p lies on the sphere of s within tolerance")
-    from .clifford_core import paravector_conjugate, paravector_inverse
-
     F5R_s = fine_resolvent("F5", RIGHT, T, s)
     F5L_p = fine_resolvent("F5", LEFT, T, p)
     SL_p = fine_resolvent("SC", LEFT, T, p)

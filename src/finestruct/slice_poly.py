@@ -20,6 +20,7 @@ from .clifford_core import (
     axis_decompose,
     close,
     mv_mul_rows,
+    paravector_conjugate,
 )
 from .errors import AxisSingularity
 
@@ -229,8 +230,6 @@ def canonical_eval_rows(C: CanonicalPoly, X: np.ndarray) -> np.ndarray:
 
 def eval_xbar_poly(Q: XBarPolynomial, x: Multivector) -> Multivector:
     """Direct evaluation via multivector powers (oracle for to_canonical)."""
-    from .clifford_core import paravector_conjugate
-
     xbar = paravector_conjugate(x)
     acc = ZERO
     for a, b, c in Q.terms:
@@ -283,8 +282,6 @@ def slice_from_canonical(C: CanonicalPoly) -> SlicePolynomial | None:
 def stem_of_intrinsic(P: SlicePolynomial) -> StemPair:
     """Stem pair (alpha, beta) of an intrinsic slice polynomial, evaluated
     through the complex polynomial sum a_m (u + i v)^m."""
-    import numpy as np
-
     reals = [c[0] for c in P.coeffs]
 
     def alpha(u, v):
