@@ -45,18 +45,22 @@ def circle(center: float, radius: float, J: Multivector, N: int = 256) -> Contou
     return Contour(J, float(center), float(radius), tuple(nodes), tuple(dsj))
 
 
-def slice_integral(K, c: Contour, f, side: str = LEFT) -> Multivector:
-    """(1/2π) Σ K(s_i)·dsJ_i·f(s_i) (Left) or f(s_i)·dsJ_i·K(s_i) (Right).
-
-    Accumulation is sequential in node order for reproducibility.
-    """
-    acc = ZERO
+def node_sum(acc, K, c: Contour, f, side: str = LEFT):
+    """acc + Σ K(s_i)·dsJ_i·f(s_i) (Left) or f(s_i)·dsJ_i·K(s_i) (Right),
+    added node after node for reproducibility.  K returns multivectors or
+    operators (CliffordMatrix), f multivectors."""
     for s, w in zip(c.nodes, c.dsj):
         if side == LEFT:
             acc = acc + K(s) * w * f(s)
         else:
             acc = acc + f(s) * w * K(s)
-    return acc * (1.0 / (2.0 * pi))
+    return acc
+
+
+def slice_integral(K, c: Contour, f, side: str = LEFT) -> Multivector:
+    """(1/2π) Σ K(s_i)·dsJ_i·f(s_i) (Left) or f(s_i)·dsJ_i·K(s_i) (Right),
+    summed by node_sum."""
+    return node_sum(ZERO, K, c, f, side) * (1.0 / (2.0 * pi))
 
 
 def _check_inside(x: Multivector, c: Contour) -> None:
@@ -68,7 +72,6 @@ def _check_inside(x: Multivector, c: Contour) -> None:
 
 def cauchy_eval(P: SlicePolynomial, x: Multivector, c: Contour) -> Multivector:
     """Cauchy reproduction of a slice polynomial at an interior point."""
-    _check_inside(x, c)
     return fine_integral_eval("Cauchy", P, x, c)
 
 

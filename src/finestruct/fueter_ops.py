@@ -421,21 +421,14 @@ def axial_parts(C: CanonicalPoly) -> tuple[AxialPoly, AxialPoly]:
     return A, B
 
 
-VEKUA_SYSTEMS = (
-    "AntiCliffordian", "BiHarmonic", "Poly3", "Cliffordian1",
-    "Harmonic", "Poly2", "PolyCliffordian12",
-)
-
-# Annihilator word of the space characterized by each printed system.
-SYSTEM_WORDS = {
-    "AntiCliffordian": ("Delta", "Dbar"),
-    "BiHarmonic": ("Delta", "Delta"),
-    "Poly3": ("D", "D", "D"),
-    "Cliffordian1": ("Delta", "D"),
-    "Harmonic": ("Delta",),
-    "Poly2": ("D", "D"),
-    "PolyCliffordian12": ("Delta", "D", "D"),
+# The space each printed axial PDE system characterizes, as a TAG_WORDS key.
+SYSTEM_TAGS = {
+    "AntiCliffordian": "AntiACH1", "BiHarmonic": "ABH", "Poly3": "AP3",
+    "Cliffordian1": "ACH1", "Harmonic": "AH", "Poly2": "AP2",
+    "PolyCliffordian12": "APC12",
 }
+VEKUA_SYSTEMS = tuple(SYSTEM_TAGS)
+SYSTEM_WORDS = {sys: TAG_WORDS[tag] for sys, tag in SYSTEM_TAGS.items()}
 
 
 def vekua_residual(sys: str, A: AxialPoly, B: AxialPoly, p,
@@ -521,25 +514,11 @@ def classify_space(P, atol: float = 0.0) -> set[str]:
 
 _BLOCKS_FINE = ("D", "Dbar")
 _BLOCKS_COARSE = ("D", "Dbar", "Delta", "D2", "Dbar2")
-_BLOCK_DEGREES = {
-    "D": (1, 0), "Dbar": (0, 1), "Delta": (1, 1), "D2": (2, 0), "Dbar2": (0, 2),
-}
+_BLOCK_DEGREES = {block: word_degrees(KIND_WORDS[block])
+                  for block in _BLOCKS_COARSE}
 
-_DEGREE_TAG = {
-    (0, 1, 0): "AM",
-    (1, 0, 0): "AH",
-    (2, 0, 0): "ABH",
-    (1, 1, 0): "ACH1",
-    (1, 0, 1): "AntiACH1",
-    (0, 2, 0): "AP2",
-    (0, 3, 0): "AP3",
-    (1, 2, 0): "APC12",
-}
-
-
-def _tag_of_degrees(a: int, b: int) -> str:
-    k = min(a, b)
-    return _DEGREE_TAG[(k, a - k, b - k)]
+# The space whose annihilator word has the given (D-degree, Dbar-degree).
+_DEGREE_TAG = {word_degrees(word): tag for tag, word in TAG_WORDS.items()}
 
 
 def enumerate_factorizations(coarse: bool = False):
@@ -561,7 +540,7 @@ def enumerate_factorizations(coarse: bool = False):
                 ba, bb = _BLOCK_DEGREES[block]
                 pa += ba
                 pb += bb
-                labels.append(_tag_of_degrees(2 - pa + 1, 2 - pb))
+                labels.append(_DEGREE_TAG[(2 - pa + 1, 2 - pb)])
             results.append((tuple(word), labels))
             return
         for block in blocks:

@@ -23,6 +23,7 @@ from .errors import ConfigError, EngineError, UnknownSuite
 from .fueter_ops import (
     KIND_WORDS,
     KIND_ORDER,
+    SYSTEM_TAGS,
     SYSTEM_WORDS,
     VEKUA_SYSTEMS,
     apply_word,
@@ -38,6 +39,7 @@ from .fueter_ops import (
 )
 from .kernels import (
     _q_inverse_power,
+    _slice_inverse_powers,
     cauchy_kernel,
     cauchy_kernel_batch,
     fine_kernel,
@@ -50,7 +52,6 @@ from .contour import circle, fine_integral_eval, word_eval
 from .op_calculus import (
     CliffordMatrix,
     OperatorTuple,
-    _slice_inverse_powers,
     f5_moment,
     f_resolvent_equation_residual,
     fine_resolvent,
@@ -177,6 +178,11 @@ def parse_config(argv, file_path: str | None = None) -> dict:
 
     if cfg["suite"] not in SUITES + ("all",):
         raise UnknownSuite(f"unknown suite {cfg['suite']!r}")
+    for key, low in (("seed", 0), ("nodes", 16), ("dim", 1), ("degree_cap", 0)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+    if cfg["format"] not in ("json", "csv"):
+        raise ConfigError(f"unknown format {cfg['format']!r}")
     return cfg
 
 
@@ -198,7 +204,7 @@ def _read_config_file(path: str) -> dict:
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         if key in known_int:
-            out[key] = int(raw)
+            out[key] = _number(int, raw, f"{path}:{lineno}")
         elif key in known_str:
             out[key] = raw
         elif key == "timing":
@@ -207,10 +213,17 @@ def _read_config_file(path: str) -> dict:
             tkey = key[4:]
             if tkey not in TOL_DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown tolerance {tkey!r}")
-            out["tol"][tkey] = float(raw)
+            out["tol"][tkey] = _number(float, raw, f"{path}:{lineno}")
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     return out
+
+
+def _number(kind, raw: str, where: str):
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: invalid number {raw!r}") from exc
 
 
 # -- shared fixtures --------------------------------------------------------------
@@ -568,20 +581,20 @@ def _two_component_tcost(rng, N: int) -> float:
     return worst
 
 
+# Complement word of each space: annihilator ∘ complement = D Δ², so the
+# complement turns x^m into a fixture of the space.
+TAG_COMPLEMENTS = {
+    "AM": ("Delta", "Delta"), "AH": ("Delta", "D"), "ABH": ("D",),
+    "ACH1": ("Delta",), "AntiACH1": ("D", "D"), "AP2": ("Delta", "Dbar"),
+    "AP3": ("Dbar", "Dbar"), "APC12": ("Dbar",),
+}
+
+
 def _suite_vekua(cfg, tol):
-    # complement word: annihilator ∘ complement = D Δ²
-    complements = {
-        "AntiCliffordian": ("D", "D"),
-        "BiHarmonic": ("D",),
-        "Poly3": ("Dbar", "Dbar"),
-        "Cliffordian1": ("Delta",),
-        "Harmonic": ("Delta", "D"),
-        "Poly2": ("Delta", "Dbar"),
-        "PolyCliffordian12": ("Dbar",),
-    }
     point = (0.7, 1.1)
     for sysname in VEKUA_SYSTEMS:
-        C = apply_word(complements[sysname], SlicePolynomial.monomial(5))
+        C = apply_word(TAG_COMPLEMENTS[SYSTEM_TAGS[sysname]],
+                       SlicePolynomial.monomial(5))
         A, B = axial_parts(C)
         r1, r2 = vekua_residual(sysname, A, B, point)
         printed = max(r1.norm_inf(), r2.norm_inf())
@@ -614,13 +627,6 @@ EXPECTED_COARSE_CHAINS = {
     ("Delta", "Delta"): ["ACH1", "AM"],
     ("D", "Delta", "Dbar"): ["ABH", "AH", "AM"],
     ("Dbar2", "D", "D"): ["AP3", "AP2", "AM"],
-}
-
-# Complement word producing a fixture of each space from x^m.
-TAG_COMPLEMENTS = {
-    "AM": ("Delta", "Delta"), "AH": ("Delta", "D"), "ABH": ("D",),
-    "ACH1": ("Delta",), "AntiACH1": ("D", "D"), "AP2": ("Delta", "Dbar"),
-    "AP3": ("Dbar", "Dbar"), "APC12": ("Dbar",),
 }
 
 

@@ -67,17 +67,31 @@ def inverse_power(q: Multivector, k: int) -> Multivector:
     return out
 
 
-def _guarded_q(s: Multivector, x: Multivector) -> Multivector:
-    """Q(s, x) with the sphere guard |Q| > 1e-10 (1 + |s|^2 + |x|^2)."""
-    q = pseudo_kernel("commutative", s, x)
+def _sphere_guarded(q: Multivector, s: Multivector, x: Multivector) -> Multivector:
+    """q, a pseudo Cauchy kernel of (s, x), past the sphere guard
+    |q| > 1e-10 (1 + |s|^2 + |x|^2)."""
     bound = 1e-10 * (1.0 + paravector_norm_sq(s) + paravector_norm_sq(x))
     if sqrt(paravector_norm_sq(q)) <= bound:
         raise SpectralSphereHit("x lies on the sphere of s within tolerance")
     return q
 
 
+def _guarded_q(s: Multivector, x: Multivector) -> Multivector:
+    """Q(s, x) with the sphere guard."""
+    return _sphere_guarded(pseudo_kernel("commutative", s, x), s, x)
+
+
 def _q_inverse_power(s: Multivector, x: Multivector, k: int) -> Multivector:
     return inverse_power(_guarded_q(s, x), k)
+
+
+def _slice_inverse_powers(s: Multivector, N: int) -> list:
+    """[s^-1, s^-2, ..., s^-(N+1)] as multivectors."""
+    inv = paravector_inverse(s)
+    out = [inv]
+    for _ in range(N):
+        out.append(out[-1] * inv)
+    return out
 
 
 # Factors of the kernel-formula table.
@@ -136,10 +150,7 @@ def _build_factor(factor, name):
 
 def cauchy_kernel(side: str, form: str, s: Multivector, x: Multivector) -> Multivector:
     if form == "I":
-        qn = pseudo_kernel("noncommutative", s, x)
-        bound = 1e-10 * (1.0 + paravector_norm_sq(s) + paravector_norm_sq(x))
-        if sqrt(paravector_norm_sq(qn)) <= bound:
-            raise SpectralSphereHit("x lies on the sphere of s within tolerance")
+        qn = _sphere_guarded(pseudo_kernel("noncommutative", s, x), s, x)
         qn_inv = paravector_inverse(qn)
         sbar_minus_x = paravector_conjugate(s) - x
         if side == LEFT:
@@ -202,10 +213,8 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
         raise OutsideConvergenceDisk("series requires |x| < |s|")
     word = KIND_WORDS[kind]
     x0, r, omega = axis_decompose(x)
-    s_inv = paravector_inverse(s)
     acc = ZERO
-    s_pow = s_inv  # s^(-1-m), starting at m = 0
-    for m in range(N + 1):
+    for m, s_pow in enumerate(_slice_inverse_powers(s, N)):
         alpha = beta = 0.0
         for (a, b), n in word_image(word, m).items():
             scalar = (x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
@@ -220,7 +229,6 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
             acc = acc + value * s_pow
         else:
             acc = acc + s_pow * value
-        s_pow = s_pow * s_inv
     return acc
 
 

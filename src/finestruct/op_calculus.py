@@ -16,7 +16,7 @@ and exact substitution both read the images this way.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import hypot, pi, sqrt
 
 import numpy as np
@@ -37,11 +37,12 @@ from .errors import (
     OnSpectrum,
     OutsideConvergenceDisk,
     SingularSolve,
-    SpectralSphereHit,
     SpectrumNotEnclosed,
 )
 from .fueter_ops import KIND_WORDS, word_image
-from .kernels import S_MINUS_X0, S_MINUS_XBAR, kernel_from_table
+from .contour import node_sum
+from .kernels import (S_MINUS_X0, S_MINUS_XBAR, _slice_inverse_powers,
+                      _sphere_guarded, kernel_from_table, pseudo_kernel)
 from .slice_poly import (
     LEFT,
     RIGHT,
@@ -254,15 +255,6 @@ def fine_resolvent(kind: str, side: str, T: OperatorTuple,
                              lambda k: q_resolvent(T, s, k))
 
 
-def _slice_inverse_powers(s: Multivector, N: int) -> list:
-    """[s^-1, s^-2, ..., s^-(N+1)] as multivectors."""
-    inv = paravector_inverse(s)
-    out = [inv]
-    for _ in range(N):
-        out.append(out[-1] * inv)
-    return out
-
-
 def canonical_operator_eval(image, T: OperatorTuple) -> CliffordMatrix:
     """Substitute x0 -> T0, x_ -> V = sum_i Ti e_i into a real canonical
     image {(a, b): n}, meaning sum n x0^a x_^b (such as word_image(word, m)).
@@ -323,20 +315,11 @@ def poly_calculus_integral(kind: str, side: str, P, T: OperatorTuple,
     """(1/2π)∫ S⁻¹_kind(s,T) ds_J f(s) over one contour or several
     (disconnected spectrum).  P is a slice polynomial or a callable s -> value."""
     _check_enclosed(T, c)
-    if callable(P):
-        f = P
-    else:
-        def f(s, _P=P):
-            return eval_slice_poly(_P, s)
-    d = T.d
-    acc = CliffordMatrix.zero(d)
+    f = P if callable(P) else partial(eval_slice_poly, P)
+    K = partial(fine_resolvent, kind, side, T)
+    acc = CliffordMatrix.zero(T.d)
     for ci in _contours_of(c):
-        for s, w in zip(ci.nodes, ci.dsj):
-            K = fine_resolvent(kind, side, T, s)
-            if side == LEFT:
-                acc = acc + K * w * f(s)
-            else:
-                acc = acc + CliffordMatrix.from_multivector(f(s) * w, d) * K
+        acc = node_sum(acc, K, ci, f, side)
     return acc.scale(1.0 / (2.0 * pi))
 
 
@@ -369,11 +352,7 @@ def p0_operator_residual(T: OperatorTuple, s: Multivector) -> CliffordMatrix:
 def f_resolvent_equation_residual(T: OperatorTuple, s: Multivector,
                                   p: Multivector) -> CliffordMatrix:
     """LHS − RHS of the F-resolvent equation (n = 5); identically zero."""
-    qs_p = (p * p - p * (2.0 * s[0])
-            + Multivector.scalar(paravector_norm_sq(s)))
-    bound = 1e-10 * (1.0 + paravector_norm_sq(s) + paravector_norm_sq(p))
-    if sqrt(paravector_norm_sq(qs_p)) <= bound:
-        raise SpectralSphereHit("p lies on the sphere of s within tolerance")
+    qs_p = _sphere_guarded(pseudo_kernel("noncommutative", s, p), s, p)
     F5R_s = fine_resolvent("F5", RIGHT, T, s)
     F5L_p = fine_resolvent("F5", LEFT, T, p)
     SL_p = fine_resolvent("SC", LEFT, T, p)

@@ -182,29 +182,20 @@ def to_canonical(Q) -> CanonicalPoly:
 
 
 def canonical_eval(C: CanonicalPoly, x: Multivector) -> Multivector:
-    """Numeric substitution with x_^2 reduced to -r^2."""
-    x0, r, omega = axis_decompose(x)
-    acc = ZERO
-    for (a, b), c in C.terms.items():
-        scalar = (x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
-        if b % 2 == 0:
-            factor = Multivector.scalar(scalar)
-        else:
-            if omega is None:
-                continue
-            factor = omega * (scalar * r)
-        acc = acc + (factor * c if C.side == LEFT else c * factor)
-    return acc
+    """Numeric substitution with x_^2 reduced to -r^2: canonical_eval_rows
+    on the single row x."""
+    return Multivector._wrap(canonical_eval_rows(C, x.c[None, :])[0])
 
 
 def canonical_eval_rows(C: CanonicalPoly, X: np.ndarray) -> np.ndarray:
-    """canonical_eval(C, x) for each row x of X (n, 32), bit for bit.
+    """Numeric substitution, with x_^2 reduced to -r^2, at each row x of
+    X (n, 32).
 
     (x0, r, omega) and the scalar factor of each term come from
-    axis_decompose and Python floats per point, as in canonical_eval; the
-    products with the coefficients and the sum over terms run on all rows
-    at once.  A point on the axis (omega None) adds +0.0 for each odd term,
-    which leaves its sum unchanged.
+    axis_decompose and Python floats per point; the products with the
+    coefficients and the sum over terms, from +0.0 in term order, run on
+    all rows at once.  A point on the axis (omega None) adds +0.0 for each
+    odd term, which leaves its sum unchanged.
     """
     axes = [axis_decompose(Multivector(x)) for x in X]
     rs = np.array([r for _, r, _ in axes])

@@ -1,0 +1,67 @@
+"""Out-of-range and malformed settings are configuration errors (exit 2),
+raised before any suite runs."""
+
+import pytest
+
+from finestruct.errors import ConfigError
+from finestruct.harness import main, parse_config
+
+
+def _rejected(argv, capsys):
+    with pytest.raises(ConfigError):
+        parse_config(argv)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _config_file(tmp_path, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def test_too_few_nodes_rejected(capsys):
+    _rejected(["--suite", "integrals", "--nodes", "8"], capsys)
+
+
+def test_negative_seed_rejected(capsys):
+    _rejected(["--suite", "identities", "--seed", "-1"], capsys)
+
+
+def test_zero_dimension_rejected(capsys):
+    _rejected(["--suite", "calculus", "--dim", "0"], capsys)
+
+
+def test_negative_degree_cap_rejected(capsys):
+    _rejected(["--suite", "structures", "--degree-cap", "-1"], capsys)
+
+
+def test_malformed_integer_in_file_rejected_with_its_line(tmp_path, capsys):
+    path = _config_file(tmp_path, "suite = structures\nseed = abc\n")
+    with pytest.raises(ConfigError, match=f"{path}:2"):
+        parse_config(["--config", path])
+    _rejected(["--config", path], capsys)
+
+
+def test_malformed_tolerance_in_file_rejected_with_its_line(tmp_path, capsys):
+    path = _config_file(tmp_path, "# tolerances\ntol.kernels.fd = abc\n")
+    with pytest.raises(ConfigError, match=f"{path}:2"):
+        parse_config(["--config", path])
+    _rejected(["--config", path], capsys)
+
+
+def test_unknown_format_in_file_rejected(tmp_path, capsys):
+    path = _config_file(tmp_path, "suite = structures\nformat = xml\n")
+    _rejected(["--config", path], capsys)
+
+
+def test_smallest_valid_settings_accepted(tmp_path):
+    cfg = parse_config(["--dim", "1", "--degree-cap", "0", "--seed", "0",
+                        "--nodes", "16"])
+    assert (cfg["dim"], cfg["degree_cap"], cfg["seed"], cfg["nodes"]) == (
+        1, 0, 0, 16)
+    path = _config_file(tmp_path, "dim = 1\ndegree_cap = 0\nseed = 0\n"
+                        "nodes = 16\nformat = csv\n")
+    cfg = parse_config(["--config", path])
+    assert (cfg["dim"], cfg["degree_cap"], cfg["seed"], cfg["nodes"],
+            cfg["format"]) == (1, 0, 0, 16, "csv")

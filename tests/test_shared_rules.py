@@ -1,0 +1,297 @@
+"""Each shared rule has one copy: the space registry in fueter_ops, the
+contour node sum in contour, the sphere guard and the slice-power chain in
+kernels, and the canonical evaluator in slice_poly.  These tests compare
+each with the copies it replaced, kept here as references, bit for bit."""
+
+import sys
+from math import pi
+
+import numpy as np
+import pytest
+
+from finestruct import contour
+from finestruct.clifford_core import (
+    ZERO,
+    Multivector,
+    axis_decompose,
+    paravector_inverse,
+)
+from finestruct.contour import Contour, circle, fine_integral_eval
+from finestruct.errors import SpectralSphereHit
+from finestruct.fueter_ops import (
+    SYSTEM_TAGS,
+    SYSTEM_WORDS,
+    VEKUA_SYSTEMS,
+    _BLOCK_DEGREES,
+    _DEGREE_TAG,
+    KIND_WORDS,
+    word_image,
+)
+from finestruct.harness import TAG_COMPLEMENTS, _rand_slice_poly, _rand_tuple
+from finestruct.kernels import cauchy_kernel, fine_kernel, fine_kernel_series
+from finestruct.op_calculus import (
+    CliffordMatrix,
+    OperatorTuple,
+    f_resolvent_equation_residual,
+    fine_resolvent,
+    poly_calculus_integral,
+)
+from finestruct.slice_poly import (
+    LEFT,
+    RIGHT,
+    CanonicalPoly,
+    SlicePolynomial,
+    canonical_eval,
+    canonical_eval_rows,
+    eval_slice_poly,
+    to_canonical,
+)
+
+SIDES = (LEFT, RIGHT)
+
+# -- the space registry --------------------------------------------------------
+
+# The literal tables that the registry replaced.
+REFERENCE_VEKUA_SYSTEMS = (
+    "AntiCliffordian", "BiHarmonic", "Poly3", "Cliffordian1",
+    "Harmonic", "Poly2", "PolyCliffordian12",
+)
+REFERENCE_SYSTEM_WORDS = {
+    "AntiCliffordian": ("Delta", "Dbar"),
+    "BiHarmonic": ("Delta", "Delta"),
+    "Poly3": ("D", "D", "D"),
+    "Cliffordian1": ("Delta", "D"),
+    "Harmonic": ("Delta",),
+    "Poly2": ("D", "D"),
+    "PolyCliffordian12": ("Delta", "D", "D"),
+}
+REFERENCE_VEKUA_COMPLEMENTS = {
+    "AntiCliffordian": ("D", "D"),
+    "BiHarmonic": ("D",),
+    "Poly3": ("Dbar", "Dbar"),
+    "Cliffordian1": ("Delta",),
+    "Harmonic": ("Delta", "D"),
+    "Poly2": ("Delta", "Dbar"),
+    "PolyCliffordian12": ("Dbar",),
+}
+REFERENCE_BLOCK_DEGREES = {
+    "D": (1, 0), "Dbar": (0, 1), "Delta": (1, 1), "D2": (2, 0), "Dbar2": (0, 2),
+}
+# Keyed by (k, a - k, b - k) with k = min(a, b), for degrees (a, b).
+REFERENCE_DEGREE_TAG = {
+    (0, 1, 0): "AM",
+    (1, 0, 0): "AH",
+    (2, 0, 0): "ABH",
+    (1, 1, 0): "ACH1",
+    (1, 0, 1): "AntiACH1",
+    (0, 2, 0): "AP2",
+    (0, 3, 0): "AP3",
+    (1, 2, 0): "APC12",
+}
+
+
+def test_vekua_systems_and_words_keep_their_order_and_words():
+    assert VEKUA_SYSTEMS == REFERENCE_VEKUA_SYSTEMS
+    assert list(SYSTEM_WORDS.items()) == list(REFERENCE_SYSTEM_WORDS.items())
+
+
+def test_vekua_complements_are_the_tag_complements_word_for_word():
+    assert {sysname: TAG_COMPLEMENTS[SYSTEM_TAGS[sysname]]
+            for sysname in VEKUA_SYSTEMS} == REFERENCE_VEKUA_COMPLEMENTS
+
+
+def test_degree_tag_and_block_degrees_are_the_literal_tables():
+    assert _DEGREE_TAG == {(k + p, k + q): tag for (k, p, q), tag
+                           in REFERENCE_DEGREE_TAG.items()}
+    assert _BLOCK_DEGREES == REFERENCE_BLOCK_DEGREES
+
+
+# -- the contour node sum --------------------------------------------------------
+
+
+def _reference_poly_calculus_integral(kind, side, P, T, c):
+    """The operator contour integral as it was summed before it shared
+    contour.node_sum."""
+    if callable(P):
+        f = P
+    else:
+        def f(s):
+            return eval_slice_poly(P, s)
+    d = T.d
+    acc = CliffordMatrix.zero(d)
+    for ci in (list(c) if isinstance(c, (list, tuple)) else [c]):
+        for s, w in zip(ci.nodes, ci.dsj):
+            K = fine_resolvent(kind, side, T, s)
+            if side == LEFT:
+                acc = acc + K * w * f(s)
+            else:
+                acc = acc + CliffordMatrix.from_multivector(f(s) * w, d) * K
+    return acc.scale(1.0 / (2.0 * pi))
+
+
+def _one_contour_case(rng):
+    T, _ = _rand_tuple(rng, 3, 0.3)
+    return T, circle(0.0, 1.25 * T.norm_bound(), Multivector.basis(1), 32)
+
+
+def _two_contour_case(rng):
+    T1, _ = _rand_tuple(rng, 2, 0.3, vanish45=True)
+    T2, _ = _rand_tuple(rng, 2, 0.3, vanish45=True, shifts=np.full(2, 5.0))
+    zeros = np.zeros((2, 2))
+    T = OperatorTuple([np.block([[a, zeros], [zeros, b]])
+                       for a, b in zip(T1.mats, T2.mats)])
+    e2 = Multivector.basis(2)
+    return T, [circle(0.0, 1.2, e2, 32), circle(5.0, 1.2, e2, 32)]
+
+
+@pytest.mark.parametrize("case", (_one_contour_case, _two_contour_case))
+@pytest.mark.parametrize("kind", ("SC", "Dbar", "F5"))
+@pytest.mark.parametrize("side", SIDES)
+def test_poly_calculus_integral_equals_the_reference_loop(case, kind, side):
+    rng = np.random.default_rng(11)
+    T, c = case(rng)
+    P = _rand_slice_poly(rng, 5, side)
+    a = Multivector(rng.normal(size=32))
+
+    def f(s):
+        return eval_slice_poly(P, s) * s + a
+
+    for integrand in (P, f):
+        got = poly_calculus_integral(kind, side, integrand, T, c)
+        want = _reference_poly_calculus_integral(kind, side, integrand, T, c)
+        assert got.a.tobytes() == want.a.tobytes()
+
+
+def test_traced_slice_integral_still_takes_one_contour(monkeypatch):
+    """A tracer that rebinds contour.slice_integral in every module reads
+    its second argument as one Contour; neither calculus may pass it a list
+    of contours."""
+    original = contour.slice_integral
+    contours = []
+
+    def checked(*args, **kwargs):
+        assert isinstance(args[1], Contour)
+        contours.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "finestruct" or name.startswith("finestruct."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, checked)
+
+    T, cs = _two_contour_case(np.random.default_rng(3))
+    for side in SIDES:
+        P = SlicePolynomial.monomial(5, 1.0, side)
+        poly_calculus_integral("F5", side, P, T, cs)
+    c = circle(0.0, 1.0, Multivector.basis(1), 32)
+    fine_integral_eval("Delta", SlicePolynomial.monomial(4),
+                       Multivector.paravector(0.2, 0.1), c)
+    assert contours == [c]
+
+
+# -- the sphere guard and the slice-power chain ------------------------------------
+
+
+def test_every_guarded_caller_raises_on_the_sphere_of_s():
+    s = Multivector.paravector(0.5, 1.0)
+    x = Multivector.paravector(0.5, 0.0, 1.0)  # same sphere as s
+    T, _ = _rand_tuple(np.random.default_rng(0), 2, 0.3)
+    for call in (lambda: fine_kernel("Delta", LEFT, s, x),
+                 lambda: cauchy_kernel(LEFT, "I", s, x),
+                 lambda: cauchy_kernel(RIGHT, "I", s, x),
+                 lambda: f_resolvent_equation_residual(T, s, x)):
+        with pytest.raises(SpectralSphereHit):
+            call()
+
+
+def _reference_fine_kernel_series(kind, side, s, x, N):
+    """The kernel series with its own s^(-1-m) chain, as it was before it
+    shared the slice powers of kernels."""
+    word = KIND_WORDS[kind]
+    x0, r, omega = axis_decompose(x)
+    s_inv = paravector_inverse(s)
+    acc = ZERO
+    s_pow = s_inv
+    for m in range(N + 1):
+        alpha = beta = 0.0
+        for (a, b), n in word_image(word, m).items():
+            scalar = (x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
+            if b % 2 == 0:
+                alpha += scalar * n
+            else:
+                beta += scalar * r * n
+        value = Multivector.scalar(alpha)
+        if omega is not None:
+            value = value + omega * beta
+        if side == LEFT:
+            acc = acc + value * s_pow
+        else:
+            acc = acc + s_pow * value
+        s_pow = s_pow * s_inv
+    return acc
+
+
+@pytest.mark.parametrize("kind", ("Cauchy", "Dbar2", "F5"))
+@pytest.mark.parametrize("side", SIDES)
+def test_fine_kernel_series_equals_the_reference_chain(kind, side):
+    s = Multivector.paravector(0.9, 0.3, -0.4, 0.2, 0.1, 0.25)
+    for x in (Multivector.paravector(0.2, 0.1, 0.0, -0.15),
+              Multivector.scalar(-0.3)):
+        got = fine_kernel_series(kind, side, s, x, 40)
+        want = _reference_fine_kernel_series(kind, side, s, x, 40)
+        assert got.c.tobytes() == want.c.tobytes()
+
+
+# -- the canonical evaluator -------------------------------------------------------
+
+
+def _reference_canonical_eval(C, x):
+    """The scalar evaluator that canonical_eval_rows was first checked
+    against."""
+    x0, r, omega = axis_decompose(x)
+    acc = ZERO
+    for (a, b), c in C.terms.items():
+        scalar = (x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
+        if b % 2 == 0:
+            factor = Multivector.scalar(scalar)
+        else:
+            if omega is None:
+                continue
+            factor = omega * (scalar * r)
+        acc = acc + (factor * c if C.side == LEFT else c * factor)
+    return acc
+
+
+def _signed_zero_coeff(rng):
+    c = rng.normal(size=32)
+    c[rng.choice(32, 12, replace=False)] = 0.0
+    c[rng.choice(32, 12, replace=False)] = -0.0
+    return Multivector(c)
+
+
+def _points(rng):
+    axis = [Multivector.scalar(0.4), Multivector.scalar(-0.0), ZERO,
+            Multivector([0.3] + [-0.0] * 31)]
+    off_axis = [Multivector.paravector(*(rng.normal(size=6) * 0.5))
+                for _ in range(4)]
+    return axis + off_axis + [Multivector.paravector(-0.0, 0.0, -0.7)]
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_canonical_eval_equals_the_reference_scalar_body(side):
+    rng = np.random.default_rng(5)
+    polys = [
+        to_canonical(SlicePolynomial([_signed_zero_coeff(rng) for _ in range(6)],
+                                     side)),
+        CanonicalPoly({(0, 1): _signed_zero_coeff(rng),
+                       (2, 3): _signed_zero_coeff(rng),
+                       (1, 0): _signed_zero_coeff(rng)}, side),
+        CanonicalPoly(side=side),
+    ]
+    points = _points(rng)
+    X = np.array([x.c for x in points])
+    for C in polys:
+        want = [_reference_canonical_eval(C, x).c.tobytes() for x in points]
+        assert [canonical_eval(C, x).c.tobytes() for x in points] == want
+        assert [row.tobytes() for row in canonical_eval_rows(C, X)] == want
