@@ -201,28 +201,34 @@ SIGNED_INDEX = INDEX_TABLE + DIM * (
 LEFT_SIGNED = INDEX_TABLE + DIM * (SIGN_TABLE[INDEX_TABLE, np.arange(DIM)] < 0)
 
 
-def mv_mul(a: Multivector, b: Multivector) -> Multivector:
-    """Bilinear extension of the blade product, as one gather:
-    out[k] = sum_a A[a] * SIGN_TABLE[a, a ^ k] * B[a ^ k] over the nonzero
+def _gather_product(ac: np.ndarray, bc: np.ndarray) -> np.ndarray:
+    """out[k] = sum_a A[a] * SIGN_TABLE[a, a ^ k] * B[a ^ k] over the nonzero
     blades a of A, added in ascending order of a starting from 0.0."""
-    ac, bc = a.c, b.c
     nz = ac.nonzero()[0]
     terms = np.concatenate((bc, -bc)).take(SIGNED_INDEX.take(nz, axis=0))
     terms *= ac.take(nz)[:, None]
     # Reducing over axis 0 adds whole rows one after another, so every slot
     # is summed sequentially in the order of nz (no pairwise summation).
-    return Multivector._wrap(np.add.reduce(terms, axis=0, initial=0.0))
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+def mv_mul(a: Multivector, b: Multivector) -> Multivector:
+    """Bilinear extension of the blade product, as one gather."""
+    return Multivector._wrap(_gather_product(a.c, b.c))
 
 
 def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise product of two (n, 32) coefficient arrays, bit for bit equal
     to mv_mul on each row.
 
-    The sum runs over the blades a that are nonzero in any row of A, in
-    ascending order, from 0.0.  In a row whose A[a] is zero, that blade adds
-    signed zeros (B finite), which leave a sum started at +0.0 unchanged, so
-    each row gets the bits of its own mv_mul.  Temporaries stay (n, 32).
+    One row is mv_mul's single gather.  Otherwise the sum runs over the
+    blades a that are nonzero in any row of A, in ascending order, from 0.0.
+    In a row whose A[a] is zero, that blade adds signed zeros (B finite),
+    which leave a sum started at +0.0 unchanged, so each row gets the bits
+    of its own mv_mul.  Temporaries stay (n, 32).
     """
+    if len(A) == 1:
+        return _gather_product(A[0], B[0])[None]
     signed = np.concatenate((B, -B), axis=1)
     acc = np.zeros(A.shape)
     for a in np.flatnonzero(np.any(A != 0.0, axis=0)):

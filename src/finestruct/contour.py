@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
 
-from .clifford_core import Multivector, ZERO, check_imaginary_unit
+import numpy as np
+
+from .clifford_core import Multivector, check_imaginary_unit, mv_mul_rows
 from .errors import DegenerateRadius, PointOutsideDomain
 from .fueter_ops import KIND_WORDS, apply_word
-from .kernels import fine_kernel
-from .slice_poly import LEFT, SlicePolynomial, canonical_eval, eval_slice_poly
+from .kernels import fine_kernel_rows
+from .slice_poly import LEFT, SlicePolynomial, canonical_eval, eval_slice_poly_rows
 
 
 @dataclass(frozen=True)
@@ -26,6 +28,11 @@ class Contour:
     radius: float
     nodes: tuple      # s_i on the circle
     dsj: tuple        # ds_J value times quadrature weight at each node
+
+    @property
+    def node_rows(self) -> np.ndarray:
+        """The nodes as an (N, 32) array."""
+        return np.array([s.c for s in self.nodes])
 
 
 def circle(center: float, radius: float, J: Multivector, N: int = 256) -> Contour:
@@ -45,22 +52,39 @@ def circle(center: float, radius: float, J: Multivector, N: int = 256) -> Contou
     return Contour(J, float(center), float(radius), tuple(nodes), tuple(dsj))
 
 
-def node_sum(acc, K, c: Contour, f, side: str = LEFT):
-    """acc + Σ K(s_i)·dsJ_i·f(s_i) (Left) or f(s_i)·dsJ_i·K(s_i) (Right),
-    added node after node for reproducibility.  K returns multivectors or
-    operators (CliffordMatrix), f multivectors."""
-    for s, w in zip(c.nodes, c.dsj):
+def node_sum(acc, K, c: Contour, fvals, side: str = LEFT):
+    """acc + Σ K(s_i)·dsJ_i·f_i (Left) or f_i·dsJ_i·K(s_i) (Right), added
+    node after node, for operator (CliffordMatrix) kernels K evaluated per
+    node; fvals holds the multivector f_i of each node."""
+    for s, w, f in zip(c.nodes, c.dsj, fvals):
         if side == LEFT:
-            acc = acc + K(s) * w * f(s)
+            acc = acc + K(s) * w * f
         else:
-            acc = acc + f(s) * w * K(s)
+            acc = acc + f * w * K(s)
     return acc
 
 
+def _rows_at(value, n: int) -> np.ndarray:
+    """Rows of an integrand: one Multivector is the same at every node."""
+    if isinstance(value, Multivector):
+        return np.broadcast_to(value.c, (n, value.c.size))
+    return value
+
+
 def slice_integral(K, c: Contour, f, side: str = LEFT) -> Multivector:
-    """(1/2π) Σ K(s_i)·dsJ_i·f(s_i) (Left) or f(s_i)·dsJ_i·K(s_i) (Right),
-    summed by node_sum."""
-    return node_sum(ZERO, K, c, f, side) * (1.0 / (2.0 * pi))
+    """(1/2π) Σ K(s_i)·dsJ_i·f(s_i) (Left) or f(s_i)·dsJ_i·K(s_i) (Right).
+
+    K and f take the (N, 32) node rows and return (N, 32) rows, or one
+    Multivector for a value that is the same at every node.  The terms are
+    formed on all rows at once and added node after node from zero."""
+    S = c.node_rows
+    kv, fv = _rows_at(K(S), len(S)), _rows_at(f(S), len(S))
+    w = np.array([d.c for d in c.dsj])
+    terms = (mv_mul_rows(mv_mul_rows(kv, w), fv) if side == LEFT
+             else mv_mul_rows(mv_mul_rows(fv, w), kv))
+    # Reducing over axis 0 adds whole rows one after another, in node order.
+    total = np.add.reduce(terms, axis=0, initial=0.0)
+    return Multivector._wrap(total) * (1.0 / (2.0 * pi))
 
 
 def _check_inside(x: Multivector, c: Contour) -> None:
@@ -81,11 +105,11 @@ def fine_integral_eval(kind: str, P: SlicePolynomial, x: Multivector,
     kind applied to P, evaluated at x."""
     _check_inside(x, c)
 
-    def K(s):
-        return fine_kernel(kind, P.side, s, x)
+    def K(S):
+        return fine_kernel_rows(kind, P.side, S, x)
 
-    def f(s):
-        return eval_slice_poly(P, s)
+    def f(S):
+        return eval_slice_poly_rows(P, S)
 
     return slice_integral(K, c, f, P.side)
 

@@ -163,22 +163,8 @@ def cauchy_kernel(side: str, form: str, s: Multivector, x: Multivector) -> Multi
 
 def cauchy_kernel_batch(side: str, s: Multivector, X: np.ndarray) -> np.ndarray:
     """cauchy_kernel(side, "II", s, x) for each row x of X (n, 32), bit for
-    bit: the float operations of pseudo_kernel, _q_inverse_power and
-    inverse_power, row by row.  Raises SpectralSphereHit if any row lies on
-    the sphere of s."""
-    nx = paravector_norm_sq_rows(X)
-    shift = np.zeros_like(X)
-    shift[:, 0] = nx
-    q = ((s * s).c - s.c * (2.0 * X[:, 0])[:, None]) + shift
-    nq = paravector_norm_sq_rows(q)
-    bound = 1e-10 * (1.0 + paravector_norm_sq(s) + nx)
-    if np.any(np.sqrt(nq) <= bound):
-        raise SpectralSphereHit("x lies on the sphere of s within tolerance")
-    q_inv = q * (CONJUGATE_SIGNS * (1.0 / nq)[:, None]) + 0.0
-    s_minus_xbar = s.c - X * CONJUGATE_SIGNS
-    if side == LEFT:
-        return mv_mul_rows(s_minus_xbar, q_inv)
-    return mv_mul_rows(q_inv, s_minus_xbar)
+    bit.  Raises SpectralSphereHit if any row lies on the sphere of s."""
+    return fine_kernel_rows("Cauchy", side, s, X)
 
 
 def f5_kernel(side: str, s: Multivector, x: Multivector) -> Multivector:
@@ -197,6 +183,67 @@ def fine_kernel(kind: str, side: str, s: Multivector, x: Multivector) -> Multive
         return x - s
 
     return kernel_from_table(kind, side, factor, lambda k: inverse_power(q, k))
+
+
+class _Rows:
+    """(n, 32) coefficient rows as a ring for kernel_from_table: * is the
+    row-wise Clifford product (mv_mul_rows) or, by a float, elementwise."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    def __mul__(self, other):
+        if isinstance(other, _Rows):
+            return _Rows(mv_mul_rows(self.c, other.c))
+        return _Rows(self.c * other)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Rows(self.c + other.c)
+
+
+def _as_rows(p) -> np.ndarray:
+    return p.c[None, :] if isinstance(p, Multivector) else p
+
+
+def fine_kernel_rows(kind: str, side: str, S, X) -> np.ndarray:
+    """fine_kernel(kind, side, s, x) for each pair of rows of S and X, bit
+    for bit; either argument is one Multivector or an (n, 32) array of rows.
+
+    The float operations are fine_kernel's, row by row: Q and its sphere
+    guard as in _guarded_q, Q^(-1) with + 0.0 and its powers as in
+    inverse_power, and the table's factors and products.  Raises
+    SpectralSphereHit if any pair lies on one sphere."""
+    S, X = _as_rows(S), _as_rows(X)
+    nx = paravector_norm_sq_rows(X)
+    shift = np.zeros(np.broadcast_shapes(S.shape, X.shape))
+    shift[:, 0] = nx
+    q = (mv_mul_rows(S, S) - S * (2.0 * X[:, :1])) + shift
+    nq = paravector_norm_sq_rows(q)
+    bound = 1e-10 * (1.0 + paravector_norm_sq_rows(S) + nx)
+    if np.any(np.sqrt(nq) <= bound):
+        raise SpectralSphereHit("x lies on the sphere of s within tolerance")
+    q_inv = q * (CONJUGATE_SIGNS * (1.0 / nq)[:, None])
+
+    def q_power(k):
+        out = _Rows(q_inv + 0.0)
+        for _ in range(k - 1):
+            out = out * _Rows(q_inv)
+        return out
+
+    def factor(name):
+        if name == S_MINUS_XBAR:
+            return _Rows(S - X * CONJUGATE_SIGNS)
+        if name == S_MINUS_X0:
+            x0 = np.zeros_like(X)
+            x0[:, 0] = X[:, 0]
+            return _Rows(S - x0)
+        return _Rows(X - S)
+
+    return kernel_from_table(kind, side, factor, q_power).c
 
 
 def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,

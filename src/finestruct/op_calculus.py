@@ -47,7 +47,7 @@ from .slice_poly import (
     LEFT,
     RIGHT,
     SlicePolynomial,
-    eval_slice_poly,
+    eval_slice_poly_rows,
     is_intrinsic,
 )
 
@@ -238,6 +238,12 @@ def q_resolvent(T: OperatorTuple, s: Multivector, k: int = 1) -> CliffordMatrix:
     return CliffordMatrix(a)
 
 
+def _table_kind(kind: str) -> str:
+    """The kind whose table row and word an operator kind reads: the SC
+    resolvent is the Cauchy row."""
+    return "Cauchy" if kind == "SC" else kind
+
+
 def fine_resolvent(kind: str, side: str, T: OperatorTuple,
                    s: Multivector) -> CliffordMatrix:
     """Resolvent operator of the fine structure: the kernel-formula table
@@ -251,7 +257,7 @@ def fine_resolvent(kind: str, side: str, T: OperatorTuple,
             return sI - CliffordMatrix.from_blade(0, T.T0)
         return T.as_clifford() - sI
 
-    return kernel_from_table("Cauchy" if kind == "SC" else kind, side, factor,
+    return kernel_from_table(_table_kind(kind), side, factor,
                              lambda k: q_resolvent(T, s, k))
 
 
@@ -291,7 +297,7 @@ def fine_resolvent_series(kind: str, side: str, T: OperatorTuple,
     of x^m under the kind's word, evaluated at T, times s^(-1-m)."""
     if T.norm_bound() >= sqrt(paravector_norm_sq(s)):
         raise OutsideConvergenceDisk("series requires ||T|| < |s|")
-    word = KIND_WORDS["Cauchy" if kind == "SC" else kind]
+    word = KIND_WORDS[_table_kind(kind)]
     out = CliffordMatrix.zero(T.d)
     for m, sp in enumerate(_slice_inverse_powers(s, N)):
         image = canonical_operator_eval(word_image(word, m), T)
@@ -313,13 +319,17 @@ def _check_enclosed(T: OperatorTuple, c) -> None:
 def poly_calculus_integral(kind: str, side: str, P, T: OperatorTuple,
                            c) -> CliffordMatrix:
     """(1/2π)∫ S⁻¹_kind(s,T) ds_J f(s) over one contour or several
-    (disconnected spectrum).  P is a slice polynomial or a callable s -> value."""
+    (disconnected spectrum).  P is a slice polynomial, evaluated on each
+    contour's node rows at once, or a callable s -> value, called per node."""
     _check_enclosed(T, c)
-    f = P if callable(P) else partial(eval_slice_poly, P)
     K = partial(fine_resolvent, kind, side, T)
     acc = CliffordMatrix.zero(T.d)
     for ci in _contours_of(c):
-        acc = node_sum(acc, K, ci, f, side)
+        if callable(P):
+            fvals = map(P, ci.nodes)
+        else:
+            fvals = map(Multivector, eval_slice_poly_rows(P, ci.node_rows))
+        acc = node_sum(acc, K, ci, fvals, side)
     return acc.scale(1.0 / (2.0 * pi))
 
 
@@ -328,7 +338,7 @@ def poly_calculus_exact(kind: str, side: str, P: SlicePolynomial,
     """Exact substitution oracle: the operator word of the kind applied to
     each monomial, evaluated at x -> T, with the polynomial's coefficients."""
     out = CliffordMatrix.zero(T.d)
-    word = KIND_WORDS["Cauchy" if kind == "SC" else kind]
+    word = KIND_WORDS[_table_kind(kind)]
     for m, coeff in enumerate(P.coeffs):
         if coeff.is_zero():
             continue

@@ -148,6 +148,16 @@ def eval_slice_poly(P: SlicePolynomial, x: Multivector) -> Multivector:
     return acc
 
 
+def eval_slice_poly_rows(P: SlicePolynomial, X: np.ndarray) -> np.ndarray:
+    """eval_slice_poly at each row x of X (n, 32), bit for bit: the same
+    Horner steps, with mv_mul_rows for the products."""
+    acc = np.zeros_like(X)
+    for c in reversed(P.coeffs):
+        acc = (mv_mul_rows(X, acc) if P.side == LEFT
+               else mv_mul_rows(acc, X)) + c.c
+    return acc
+
+
 def extend_stem(stem: StemPair, x: Multivector, atol: float = 1e-12) -> Multivector:
     """Axial extension alpha(x0, r) + omega beta(x0, r) of a stem pair."""
     x0, r, omega = axis_decompose(x)
