@@ -5,7 +5,8 @@ product rule for the F-functional calculus.
 Operators act on V = R_5 (x) R^d and are stored densely as a (32, d, d)
 array of blade coefficient matrices.  Resolvents reduce to complex d x d
 solves in the complexification of the slice plane of s (the pseudo resolvent
-has real matrix coefficients), then re-expand over the blades of J.
+has real matrix coefficients), then re-expand over the blades of J; the
+nodes of one contour share one stacked solve (resolvent_rows).
 
 Operator words are evaluated in axial form.  The image of x^m under a word
 is the exact integer table word_image (n x0^a x_^b); substituting x0 -> T0
@@ -16,7 +17,7 @@ and exact substitution both read the images this way.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import hypot, pi, sqrt
 
 import numpy as np
@@ -41,8 +42,9 @@ from .errors import (
 )
 from .fueter_ops import KIND_WORDS, word_image
 from .contour import node_sum
-from .kernels import (S_MINUS_X0, S_MINUS_XBAR, _slice_inverse_powers,
-                      _sphere_guarded, kernel_from_table, pseudo_kernel)
+from .kernels import (KERNEL_TERMS, S_MINUS_X0, S_MINUS_XBAR,
+                      _slice_inverse_powers, _sphere_guarded, kernel_from_table,
+                      pseudo_kernel)
 from .slice_poly import (
     LEFT,
     RIGHT,
@@ -84,7 +86,7 @@ class CliffordMatrix:
 
     @staticmethod
     def from_multivector(c: Multivector, d: int) -> "CliffordMatrix":
-        a = c.c[:, None, None] * np.eye(d)[None, :, :]
+        a = c.c[:, None, None] * _eye(d)[None, :, :]
         return CliffordMatrix(a)
 
     def __add__(self, other: "CliffordMatrix") -> "CliffordMatrix":
@@ -130,6 +132,14 @@ def _left_gather(d: int) -> np.ndarray:
     idx = (LEFT_SIGNED[:, None, :, None] * d + i[:, None, None]) * d + i
     idx.flags.writeable = False
     return idx.reshape(DIM * d, DIM * d)
+
+
+@lru_cache(maxsize=None)
+def _eye(d: int) -> np.ndarray:
+    """The d x d identity, read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 class OperatorTuple:
@@ -212,30 +222,61 @@ def s_spectrum(T: OperatorTuple, atol: float = 1e-9) -> list:
     return sorted(spheres)
 
 
-def _spectral_distance(T: OperatorTuple, s: Multivector) -> float:
-    u, v, _ = axis_decompose(s)
-    return min(hypot(u - u0, v - v0) for (u0, v0) in T.spectrum())
+_PARAVECTOR_MASKS = list(PARAVECTOR_MASKS)
+_VECTOR_MASKS = _PARAVECTOR_MASKS[1:]
 
 
-def q_resolvent(T: OperatorTuple, s: Multivector, k: int = 1) -> CliffordMatrix:
-    """(s^2 I - 2 s T0 + T Tbar)^(-k), solved in the complexified slice of s."""
-    if _spectral_distance(T, s) <= 1e-8:
-        raise OnSpectrum("s is too close to the S-spectrum")
-    u, v, J = axis_decompose(s)
-    z = complex(u, v)
-    Z = (z * z) * np.eye(T.d) - (2.0 * z) * T.T0 + T.qmat()
+def _stacked_solve(T: OperatorTuple, nodes) -> tuple:
+    """One complex inverse W of the (N, d, d) stack
+    Z = z^2 I - 2 z T0 + T Tbar, at z = u + iv for each node s = u + J v,
+    and the J of each node (None for a real s).  Each node must be farther
+    than 1e-8 from every spectral sphere."""
+    spectrum = T.spectrum()
+    zz, tz, units = [], [], []
+    for s in nodes:
+        u, v, J = axis_decompose(s)
+        if min(hypot(u - u0, v - v0) for (u0, v0) in spectrum) <= 1e-8:
+            raise OnSpectrum("s is too close to the S-spectrum")
+        z = complex(u, v)
+        zz.append(z * z)
+        tz.append(2.0 * z)
+        units.append(J)
+    Z = (np.array(zz)[:, None, None] * _eye(T.d)
+         - np.array(tz)[:, None, None] * T.T0 + T.qmat())
     try:
         W = np.linalg.inv(Z)
     except np.linalg.LinAlgError as exc:
         raise SingularSolve(str(exc)) from exc
-    W = np.linalg.matrix_power(W, k)
-    a = np.zeros((DIM, T.d, T.d))
-    a[0] = np.real(W)
-    if J is not None:
-        im = np.imag(W)
-        for i, mask in enumerate(PARAVECTOR_MASKS[1:]):
-            a[mask] = J[mask] * im
+    return W, units
+
+
+def _paravector_slots(Wk: np.ndarray, units) -> np.ndarray:
+    """(N, 6, d, d) paravector slots of the complex stack Wk read in the slice
+    of each node: Re Wk, then J_i Im Wk for each e_i (zero for a real node).
+    Only these slots are held for all nodes at once; the 32-blade stack
+    would be 1 MB per power at N = 256, d = 4."""
+    a = np.zeros((len(Wk), len(PARAVECTOR_MASKS)) + Wk.shape[1:])
+    a[:, 0] = Wk.real
+    rows = [n for n, J in enumerate(units) if J is not None]
+    if rows:
+        J = np.array([units[n].c[_VECTOR_MASKS] for n in rows])
+        a[rows, 1:] = J[:, :, None, None] * Wk.imag[rows, None]
+    return a
+
+
+def _from_paravector_slots(p: np.ndarray) -> CliffordMatrix:
+    """The operator whose paravector slots are p (6, d, d), zero elsewhere."""
+    a = np.zeros((DIM,) + p.shape[1:])
+    a[_PARAVECTOR_MASKS] = p
     return CliffordMatrix(a)
+
+
+def q_resolvent(T: OperatorTuple, s: Multivector, k: int = 1) -> CliffordMatrix:
+    """(s^2 I - 2 s T0 + T Tbar)^(-k), solved in the complexified slice of s:
+    the one-node case of the stacked solve of resolvent_rows."""
+    W, units = _stacked_solve(T, [s])
+    Wk = np.linalg.matrix_power(W, k)
+    return _from_paravector_slots(_paravector_slots(Wk, units)[0])
 
 
 def _table_kind(kind: str) -> str:
@@ -248,17 +289,38 @@ def fine_resolvent(kind: str, side: str, T: OperatorTuple,
                    s: Multivector) -> CliffordMatrix:
     """Resolvent operator of the fine structure: the kernel-formula table
     with x -> T ("SC" is the Cauchy row), factor order as printed."""
-    sI = CliffordMatrix.from_multivector(s, T.d)
+    return _resolvents(kind, side, T, [s])[0]
 
-    def factor(name):
-        if name == S_MINUS_XBAR:
-            return sI - T.conj_clifford()
-        if name == S_MINUS_X0:
-            return sI - CliffordMatrix.from_blade(0, T.T0)
-        return T.as_clifford() - sI
 
-    return kernel_from_table(_table_kind(kind), side, factor,
-                             lambda k: q_resolvent(T, s, k))
+def resolvent_rows(kind: str, side: str, T: OperatorTuple, contour) -> list:
+    """fine_resolvent(kind, side, T, s) at every node s of the contour, bit
+    for bit, from one stacked solve of all its nodes."""
+    return _resolvents(kind, side, T, contour.nodes)
+
+
+def _resolvents(kind: str, side: str, T: OperatorTuple, nodes) -> list:
+    """The table row of kind at each node: every power Q^(-k) that the row
+    needs is a stacked matrix_power of one stacked inverse, and T, Tbar and
+    T0 are built once."""
+    kind = _table_kind(kind)
+    W, units = _stacked_solve(T, nodes)
+    powers = {k: _paravector_slots(np.linalg.matrix_power(W, k), units)
+              for k in {k for _, _, k, _ in KERNEL_TERMS.get(kind, ())}}
+    Tc = T.as_clifford()
+    shifts = {S_MINUS_XBAR: T.conj_clifford(),
+              S_MINUS_X0: CliffordMatrix.from_blade(0, T.T0)}
+    out = []
+    for n, s in enumerate(nodes):
+        sI = CliffordMatrix.from_multivector(s, T.d)
+
+        def factor(name, sI=sI):
+            return sI - shifts[name] if name in shifts else Tc - sI
+
+        def q_power(k, n=n):
+            return _from_paravector_slots(powers[k][n])
+
+        out.append(kernel_from_table(kind, side, factor, q_power))
+    return out
 
 
 def canonical_operator_eval(image, T: OperatorTuple) -> CliffordMatrix:
@@ -269,10 +331,20 @@ def canonical_operator_eval(image, T: OperatorTuple) -> CliffordMatrix:
     result is A + V B: A sums n T0^a (-R)^(b/2) over even b, B sums
     n T0^a (-R)^((b-1)/2) over odd b.  Needs commutativity only, not
     diagonalizability."""
+    return _axial_eval(image, T, _axial_powers(T))
+
+
+def _axial_powers(T: OperatorTuple) -> tuple:
+    """([I], [I], -R): the power lists of T0 and of -R, which _axial_eval
+    grows on demand, and -R.  Callers that evaluate several images at one
+    tuple share them, so each power is formed once."""
+    return [_eye(T.d)], [_eye(T.d)], -sum(m @ m for m in T.mats[1:])
+
+
+def _axial_eval(image, T: OperatorTuple, powers) -> CliffordMatrix:
+    """canonical_operator_eval with the power lists of _axial_powers(T)."""
+    t0_pows, r_pows, neg_r = powers
     d = T.d
-    t0_pows = [np.eye(d)]
-    r_pows = [np.eye(d)]
-    neg_r = -sum(m @ m for m in T.mats[1:])
     A = np.zeros((d, d))
     B = np.zeros((d, d))
     for (a, b), n in image.items():
@@ -287,7 +359,7 @@ def canonical_operator_eval(image, T: OperatorTuple) -> CliffordMatrix:
             A += term
     out = np.zeros((DIM, d, d))
     out[0] = A
-    out[list(PARAVECTOR_MASKS[1:])] = np.asarray(T.mats[1:]) @ B
+    out[_VECTOR_MASKS] = np.asarray(T.mats[1:]) @ B
     return CliffordMatrix(out)
 
 
@@ -298,9 +370,10 @@ def fine_resolvent_series(kind: str, side: str, T: OperatorTuple,
     if T.norm_bound() >= sqrt(paravector_norm_sq(s)):
         raise OutsideConvergenceDisk("series requires ||T|| < |s|")
     word = KIND_WORDS[_table_kind(kind)]
+    powers = _axial_powers(T)
     out = CliffordMatrix.zero(T.d)
     for m, sp in enumerate(_slice_inverse_powers(s, N)):
-        image = canonical_operator_eval(word_image(word, m), T)
+        image = _axial_eval(word_image(word, m), T, powers)
         out = out + (image * sp if side == LEFT else sp * image)
     return out
 
@@ -322,14 +395,13 @@ def poly_calculus_integral(kind: str, side: str, P, T: OperatorTuple,
     (disconnected spectrum).  P is a slice polynomial, evaluated on each
     contour's node rows at once, or a callable s -> value, called per node."""
     _check_enclosed(T, c)
-    K = partial(fine_resolvent, kind, side, T)
     acc = CliffordMatrix.zero(T.d)
     for ci in _contours_of(c):
         if callable(P):
             fvals = map(P, ci.nodes)
         else:
             fvals = map(Multivector, eval_slice_poly_rows(P, ci.node_rows))
-        acc = node_sum(acc, K, ci, fvals, side)
+        acc = node_sum(acc, resolvent_rows(kind, side, T, ci), ci, fvals, side)
     return acc.scale(1.0 / (2.0 * pi))
 
 
@@ -339,10 +411,11 @@ def poly_calculus_exact(kind: str, side: str, P: SlicePolynomial,
     each monomial, evaluated at x -> T, with the polynomial's coefficients."""
     out = CliffordMatrix.zero(T.d)
     word = KIND_WORDS[_table_kind(kind)]
+    powers = _axial_powers(T)
     for m, coeff in enumerate(P.coeffs):
         if coeff.is_zero():
             continue
-        image = canonical_operator_eval(word_image(word, m), T)
+        image = _axial_eval(word_image(word, m), T, powers)
         out = out + (image * coeff if side == LEFT else coeff * image)
     return out
 

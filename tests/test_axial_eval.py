@@ -1,21 +1,26 @@
 """The axial evaluator of operator words, A + V·B, against the dense
 evaluator it replaced, on diagonalizable and non-diagonalizable commuting
-tuples; and the cost of the resolvent series in CliffordMatrix products."""
+tuples; the cost of the resolvent series in CliffordMatrix products; and
+the powers of T0 and -R shared across the images of one call."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from finestruct.clifford_core import Multivector
 from finestruct.fueter_ops import KIND_WORDS, TAG_WORDS, word_image
-from finestruct.harness import _rand_tuple
+from finestruct.harness import _rand_slice_poly, _rand_tuple
+from finestruct.kernels import _slice_inverse_powers
 from finestruct.op_calculus import (
     CliffordMatrix,
     OperatorTuple,
     canonical_operator_eval,
     fine_resolvent,
     fine_resolvent_series,
+    poly_calculus_exact,
 )
-from finestruct.slice_poly import LEFT, RIGHT
+from finestruct.slice_poly import LEFT, RIGHT, SlicePolynomial
 
 WORDS = sorted(set(KIND_WORDS.values()) | set(TAG_WORDS.values()))
 ALL_KINDS = ("SC",) + tuple(KIND_WORDS)
@@ -112,3 +117,29 @@ def test_series_costs_one_product_per_term(monkeypatch):
             calls.clear()
             fine_resolvent_series(kind, side, T, s, 60)
             assert len(calls) == 61, (kind, side)
+
+
+def test_shared_axial_powers_keep_every_bit():
+    """The series and the exact substitution grow the powers of T0 and -R
+    once per call; each image still gets the bits of its own evaluation."""
+    rng = np.random.default_rng(8)
+    for T in (jordan_tuple(), _rand_tuple(rng, 3, 0.1)[0]):
+        s = Multivector.paravector(0.8 + T.norm_bound(), 0.3, 0.0, 0.2)
+        P = _rand_slice_poly(rng, 6)
+        P = SlicePolynomial(P.coeffs[:2] + [Multivector()] + P.coeffs[3:], LEFT)
+        for kind, side in itertools.product(ALL_KINDS, (LEFT, RIGHT)):
+            word = KIND_WORDS["Cauchy" if kind == "SC" else kind]
+            series = CliffordMatrix.zero(T.d)
+            for m, sp in enumerate(_slice_inverse_powers(s, 30)):
+                image = canonical_operator_eval(word_image(word, m), T)
+                series = series + (image * sp if side == LEFT else sp * image)
+            got = fine_resolvent_series(kind, side, T, s, 30)
+            assert got.a.tobytes() == series.a.tobytes(), (kind, side)
+            exact = CliffordMatrix.zero(T.d)
+            for m, coeff in enumerate(P.coeffs):
+                if not coeff.is_zero():
+                    image = canonical_operator_eval(word_image(word, m), T)
+                    exact = exact + (image * coeff if side == LEFT
+                                     else coeff * image)
+            got = poly_calculus_exact(kind, side, P, T)
+            assert got.a.tobytes() == exact.a.tobytes(), (kind, side)

@@ -1,5 +1,6 @@
 """tools/compare_reports.py: exit 0 when only values move, 1 on a status
-flip or a missing check or file, 2 on a wrong argument count."""
+flip or a missing check or file, 2 on a wrong argument count; and
+tools/sweep_reports.py, whose directories it compares."""
 
 import importlib.util
 import json
@@ -7,10 +8,18 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
-_spec = importlib.util.spec_from_file_location("compare_reports", _PATH)
-compare_reports = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_reports)
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_reports = _load("compare_reports")
+sweep_reports = _load("sweep_reports")
 
 
 def _write(path, checks):
@@ -71,3 +80,24 @@ def test_wrong_argument_count_exits_2(tmp_path, capsys, argc):
     paths = [_write(tmp_path / f"r{i}.json", BASE) for i in range(argc)]
     assert _run(*paths) == 2
     assert "compare_reports.py OLD NEW" in capsys.readouterr().err
+
+
+def test_sweep_writes_one_report_per_seed(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert sweep_reports.main(["sweep_reports.py", "structures", "1", "2",
+                               str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["structures_1.json",
+                                                     "structures_2.json"]
+    report = json.loads((out / "structures_2.json").read_text())
+    assert (report["suite"], report["seed"]) == ("structures", 2)
+    capsys.readouterr()
+    assert _run(out, out) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", (("structures", "1"),
+                                  ("nosuch", "1", "2", "out"),
+                                  ("structures", "one", "2", "out")))
+def test_sweep_rejects_bad_arguments_with_exit_2(tmp_path, args):
+    args = [a if a != "out" else str(tmp_path / "out") for a in args]
+    assert sweep_reports.main(["sweep_reports.py", *args]) == 2

@@ -40,6 +40,17 @@ def test_clifford_matrix_mirrors_multivector_product():
     assert (A * B - C).norm_inf() < 1e-13
 
 
+def test_from_multivector_scales_the_identity_per_blade():
+    rng = np.random.default_rng(3)
+    c = Multivector(rng.normal(size=32))
+    for d in (1, 3, 4):
+        A = CliffordMatrix.from_multivector(c, d)
+        ref = c.c[:, None, None] * np.eye(d)[None, :, :]
+        assert A.a.tobytes() == ref.tobytes()
+        A.a[0, 0, 0] = 7.0  # a fresh array, not the shared identity
+        assert CliffordMatrix.from_multivector(c, d).a.tobytes() == ref.tobytes()
+
+
 def _reference_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """sum over all blade pairs (a, b) of sign * A[a] @ B[b] into blade a ^ b."""
     out = np.zeros_like(A)
