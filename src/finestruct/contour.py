@@ -52,18 +52,6 @@ def circle(center: float, radius: float, J: Multivector, N: int = 256) -> Contou
     return Contour(J, float(center), float(radius), tuple(nodes), tuple(dsj))
 
 
-def node_sum(acc, kernels, c: Contour, fvals, side: str = LEFT):
-    """acc + Σ K_i·dsJ_i·f_i (Left) or f_i·dsJ_i·K_i (Right), added node
-    after node; kernels holds the operator (CliffordMatrix) kernel K_i and
-    fvals the multivector f_i of each node."""
-    for K, w, f in zip(kernels, c.dsj, fvals):
-        if side == LEFT:
-            acc = acc + K * w * f
-        else:
-            acc = acc + f * w * K
-    return acc
-
-
 def _rows_at(value, n: int) -> np.ndarray:
     """Rows of an integrand: one Multivector is the same at every node."""
     if isinstance(value, Multivector):

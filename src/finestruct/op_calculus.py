@@ -6,7 +6,8 @@ Operators act on V = R_5 (x) R^d and are stored densely as a (32, d, d)
 array of blade coefficient matrices.  Resolvents reduce to complex d x d
 solves in the complexification of the slice plane of s (the pseudo resolvent
 has real matrix coefficients), then re-expand over the blades of J; the
-nodes of one contour share one stacked solve (resolvent_rows).
+nodes of one contour share one stacked solve, and the kernels and terms of
+the contour sum are stacked products on blocks of nodes (_mul_stack).
 
 Operator words are evaluated in axial form.  The image of x^m under a word
 is the exact integer table word_image (n x0^a x_^b); substituting x0 -> T0
@@ -28,6 +29,7 @@ from .clifford_core import (
     Multivector,
     PARAVECTOR_MASKS,
     axis_decompose,
+    mv_mul_rows,
     paravector_conjugate,
     paravector_inverse,
     paravector_norm_sq,
@@ -41,7 +43,6 @@ from .errors import (
     SpectrumNotEnclosed,
 )
 from .fueter_ops import KIND_WORDS, word_image
-from .contour import node_sum
 from .kernels import (KERNEL_TERMS, S_MINUS_X0, S_MINUS_XBAR,
                       _slice_inverse_powers, _sphere_guarded, kernel_from_table,
                       pseudo_kernel)
@@ -60,7 +61,7 @@ class CliffordMatrix:
     __slots__ = ("a",)
 
     def __init__(self, a: np.ndarray):
-        if a.shape[0] != DIM or a.shape[1] != a.shape[2]:
+        if a.ndim != 3 or a.shape[0] != DIM or a.shape[1] != a.shape[2]:
             raise ValueError("expected shape (32, d, d)")
         self.a = a
 
@@ -86,8 +87,7 @@ class CliffordMatrix:
 
     @staticmethod
     def from_multivector(c: Multivector, d: int) -> "CliffordMatrix":
-        a = c.c[:, None, None] * _eye(d)[None, :, :]
-        return CliffordMatrix(a)
+        return CliffordMatrix(_expand(c.c[None], d)[0])
 
     def __add__(self, other: "CliffordMatrix") -> "CliffordMatrix":
         return CliffordMatrix(self.a + other.a)
@@ -108,10 +108,7 @@ class CliffordMatrix:
             other = CliffordMatrix.from_multivector(other, self.dim)
         if not isinstance(other, CliffordMatrix):
             return NotImplemented
-        # out[k] = sum_b SIGN_TABLE[k ^ b, b] * A[k ^ b] @ B[b], as one matmul.
-        d = self.dim
-        left = np.concatenate((self.a, -self.a)).take(_left_gather(d))
-        return CliffordMatrix((left @ other.a.reshape(DIM * d, d)).reshape(DIM, d, d))
+        return CliffordMatrix(_mul_stack(self.a[None], other.a[None])[0])
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -124,14 +121,48 @@ class CliffordMatrix:
         return float(np.max(np.abs(self.a)))
 
 
+def _mul_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The operator products A[n] * B[n] of two (n, 32, d, d) stacks.
+
+    out[k] = sum_b SIGN_TABLE[k ^ b, b] * A[k ^ b] @ B[b] is one matmul per
+    pair, left @ B.reshape(32 d, d), with the left-regular matrix
+    L[(k, i), (b, j)] = [A, -A][LEFT_SIGNED[k, b], i, j] gathered a whole
+    row of d floats at a time.  A stacked matmul calls the same GEMM once per
+    pair, so each product has the bits of a product made alone."""
+    n, _, d, _ = A.shape
+    signed = np.concatenate((A, -A), axis=1).reshape(n, 2 * DIM * d, d)
+    left = signed.take(_left_rows(d), axis=1).reshape(n, DIM * d, DIM * d)
+    return (left @ B.reshape(n, DIM * d, d)).reshape(n, DIM, d, d)
+
+
 @lru_cache(maxsize=None)
-def _left_gather(d: int) -> np.ndarray:
-    """Flat indices into [A, -A] of shape (64, d, d) with
-    L[(k, i), (b, j)] = [A, -A][LEFT_SIGNED[k, b], i, j]."""
+def _left_rows(d: int) -> np.ndarray:
+    """Row indices into [A, -A] read as (64 d, d) rows, in the order
+    (k, i, b): row LEFT_SIGNED[k, b] * d + i."""
     i = np.arange(d)
-    idx = (LEFT_SIGNED[:, None, :, None] * d + i[:, None, None]) * d + i
-    idx.flags.writeable = False
-    return idx.reshape(DIM * d, DIM * d)
+    rows = (LEFT_SIGNED[:, None, :] * d + i[:, None]).ravel()
+    rows.flags.writeable = False
+    return rows
+
+
+class _Stack:
+    """(n, 32, d, d) operator stacks as a ring for kernel_from_table: * is
+    the node-wise product (_mul_stack) or, by a float, elementwise."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+
+    def __mul__(self, other):
+        if isinstance(other, _Stack):
+            return _Stack(_mul_stack(self.a, other.a))
+        return _Stack(self.a * other)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Stack(self.a + other.a)
 
 
 @lru_cache(maxsize=None)
@@ -264,11 +295,12 @@ def _paravector_slots(Wk: np.ndarray, units) -> np.ndarray:
     return a
 
 
-def _from_paravector_slots(p: np.ndarray) -> CliffordMatrix:
-    """The operator whose paravector slots are p (6, d, d), zero elsewhere."""
-    a = np.zeros((DIM,) + p.shape[1:])
-    a[_PARAVECTOR_MASKS] = p
-    return CliffordMatrix(a)
+def _from_paravector_slots(p: np.ndarray) -> np.ndarray:
+    """The (n, 32, d, d) operators whose paravector slots are p
+    (n, 6, d, d), zero elsewhere."""
+    a = np.zeros(p.shape[:1] + (DIM,) + p.shape[2:])
+    a[:, _PARAVECTOR_MASKS] = p
+    return a
 
 
 def q_resolvent(T: OperatorTuple, s: Multivector, k: int = 1) -> CliffordMatrix:
@@ -276,7 +308,7 @@ def q_resolvent(T: OperatorTuple, s: Multivector, k: int = 1) -> CliffordMatrix:
     the one-node case of the stacked solve of resolvent_rows."""
     W, units = _stacked_solve(T, [s])
     Wk = np.linalg.matrix_power(W, k)
-    return _from_paravector_slots(_paravector_slots(Wk, units)[0])
+    return CliffordMatrix(_from_paravector_slots(_paravector_slots(Wk, units))[0])
 
 
 def _table_kind(kind: str) -> str:
@@ -289,38 +321,51 @@ def fine_resolvent(kind: str, side: str, T: OperatorTuple,
                    s: Multivector) -> CliffordMatrix:
     """Resolvent operator of the fine structure: the kernel-formula table
     with x -> T ("SC" is the Cauchy row), factor order as printed."""
-    return _resolvents(kind, side, T, [s])[0]
+    return CliffordMatrix(next(_resolvent_blocks(kind, side, T, [s]))[0])
 
 
 def resolvent_rows(kind: str, side: str, T: OperatorTuple, contour) -> list:
     """fine_resolvent(kind, side, T, s) at every node s of the contour, bit
     for bit, from one stacked solve of all its nodes."""
-    return _resolvents(kind, side, T, contour.nodes)
+    return [CliffordMatrix(K) for block in
+            _resolvent_blocks(kind, side, T, contour.nodes) for K in block]
 
 
-def _resolvents(kind: str, side: str, T: OperatorTuple, nodes) -> list:
-    """The table row of kind at each node: every power Q^(-k) that the row
-    needs is a stacked matrix_power of one stacked inverse, and T, Tbar and
-    T0 are built once."""
+# Nodes per stacked product: a block's left-regular matrices take
+# _BLOCK (32 d)^2 floats, 1 MB at d = 4, so memory does not grow with N.
+_BLOCK = 8
+
+
+def _resolvent_blocks(kind: str, side: str, T: OperatorTuple, nodes):
+    """The table row of kind at the nodes, as one (n, 32, d, d) stack per
+    block of _BLOCK nodes.  Every power Q^(-k) that the row needs is a
+    stacked matrix_power of one stacked inverse of all the nodes, T, Tbar
+    and T0 are built once, and the row's products are stacked products."""
     kind = _table_kind(kind)
     W, units = _stacked_solve(T, nodes)
     powers = {k: _paravector_slots(np.linalg.matrix_power(W, k), units)
               for k in {k for _, _, k, _ in KERNEL_TERMS.get(kind, ())}}
-    Tc = T.as_clifford()
-    shifts = {S_MINUS_XBAR: T.conj_clifford(),
-              S_MINUS_X0: CliffordMatrix.from_blade(0, T.T0)}
-    out = []
-    for n, s in enumerate(nodes):
-        sI = CliffordMatrix.from_multivector(s, T.d)
+    Tc = T.as_clifford().a
+    shifts = {S_MINUS_XBAR: T.conj_clifford().a,
+              S_MINUS_X0: CliffordMatrix.from_blade(0, T.T0).a}
+    S = np.array([s.c for s in nodes])
+    for lo in range(0, len(nodes), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        sI = _expand(S[block], T.d)
 
         def factor(name, sI=sI):
-            return sI - shifts[name] if name in shifts else Tc - sI
+            return _Stack(sI - shifts[name] if name in shifts else Tc - sI)
 
-        def q_power(k, n=n):
-            return _from_paravector_slots(powers[k][n])
+        def q_power(k, block=block):
+            return _Stack(_from_paravector_slots(powers[k][block]))
 
-        out.append(kernel_from_table(kind, side, factor, q_power))
-    return out
+        yield kernel_from_table(kind, side, factor, q_power).a
+
+
+def _expand(rows: np.ndarray, d: int) -> np.ndarray:
+    """The (n, 32, d, d) stack of from_multivector(row, d) for the rows of
+    an (n, 32) array."""
+    return rows[:, :, None, None] * _eye(d)
 
 
 def canonical_operator_eval(image, T: OperatorTuple) -> CliffordMatrix:
@@ -395,14 +440,40 @@ def poly_calculus_integral(kind: str, side: str, P, T: OperatorTuple,
     (disconnected spectrum).  P is a slice polynomial, evaluated on each
     contour's node rows at once, or a callable s -> value, called per node."""
     _check_enclosed(T, c)
-    acc = CliffordMatrix.zero(T.d)
+    acc = np.zeros((DIM, T.d, T.d))
     for ci in _contours_of(c):
         if callable(P):
-            fvals = map(P, ci.nodes)
+            fvals = np.array([P(s).c for s in ci.nodes])
         else:
-            fvals = map(Multivector, eval_slice_poly_rows(P, ci.node_rows))
-        acc = node_sum(acc, resolvent_rows(kind, side, T, ci), ci, fvals, side)
-    return acc.scale(1.0 / (2.0 * pi))
+            fvals = eval_slice_poly_rows(P, ci.node_rows)
+        kernels = _resolvent_blocks(kind, side, T, ci.nodes)
+        acc = node_sum(acc, kernels, ci, fvals, side)
+    return CliffordMatrix(acc).scale(1.0 / (2.0 * pi))
+
+
+def node_sum(acc: np.ndarray, kernels, c, fvals: np.ndarray,
+             side: str = LEFT) -> np.ndarray:
+    """acc + Σ (K_i·dsJ_i)·f_i (Left) or (f_i·dsJ_i)·K_i (Right) over the
+    nodes of contour c, added node after node, as (32, d, d) arrays.
+
+    kernels yields the (n, 32, d, d) operator kernels of each block of
+    _BLOCK nodes, and fvals holds the (N, 32) multivector rows f_i.  The
+    terms of a block are stacked products; the multivector product
+    f_i·dsJ_i is mv_mul_rows, which equals mv_mul row by row."""
+    d = acc.shape[-1]
+    w = np.array([x.c for x in c.dsj])
+    if side != LEFT:
+        fw = mv_mul_rows(fvals, w)
+    for lo, K in zip(range(0, len(w), _BLOCK), kernels):
+        block = slice(lo, lo + len(K))
+        if side == LEFT:
+            terms = _mul_stack(_mul_stack(K, _expand(w[block], d)),
+                               _expand(fvals[block], d))
+        else:
+            terms = _mul_stack(_expand(fw[block], d), K)
+        # Reducing over axis 0 adds whole operators one after another.
+        acc = np.add.reduce(np.concatenate((acc[None], terms)), axis=0)
+    return acc
 
 
 def poly_calculus_exact(kind: str, side: str, P: SlicePolynomial,

@@ -101,3 +101,23 @@ def test_sweep_writes_one_report_per_seed(tmp_path, capsys):
 def test_sweep_rejects_bad_arguments_with_exit_2(tmp_path, args):
     args = [a if a != "out" else str(tmp_path / "out") for a in args]
     assert sweep_reports.main(["sweep_reports.py", *args]) == 2
+
+
+def test_sweep_takes_a_comma_separated_suite_list(tmp_path):
+    out = tmp_path / "sweep"
+    assert sweep_reports.main(["sweep_reports.py", "structures,identities",
+                               "3", "3", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["identities_3.json",
+                                                     "structures_3.json"]
+    report = json.loads((out / "identities_3.json").read_text())
+    assert (report["suite"], report["seed"]) == ("identities", 3)
+
+
+def test_sweep_rejects_an_unknown_suite_before_any_suite_runs(tmp_path,
+                                                               monkeypatch):
+    ran = []
+    monkeypatch.setattr(sweep_reports, "run_suite", ran.append)
+    out = tmp_path / "out"
+    assert sweep_reports.main(["sweep_reports.py", "structures,nosuch",
+                               "1", "2", str(out)]) == 2
+    assert ran == [] and not out.exists()

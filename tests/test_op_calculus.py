@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finestruct.clifford_core import DIM, Multivector, blade_product
+from finestruct.clifford_core import DIM, LEFT_SIGNED, Multivector, blade_product
 from finestruct.contour import circle
 from finestruct.errors import (
     OnSpectrum,
@@ -12,6 +12,7 @@ from finestruct.harness import _rand_slice_poly, _rand_tuple
 from finestruct.op_calculus import (
     CliffordMatrix,
     OperatorTuple,
+    _mul_stack,
     f5_moment,
     f_resolvent_equation_residual,
     fine_resolvent,
@@ -88,6 +89,53 @@ def test_clifford_matrix_product_matches_definition(d):
     for got, ref in ((CliffordMatrix(A) * c, _reference_product(A, C)),
                      (c * CliffordMatrix(A), _reference_product(C, A))):
         assert np.abs(got.a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _element_gather_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The product as one element gather and one matmul: the left-regular
+    matrix L[(k, i), (b, j)] = [A, -A][LEFT_SIGNED[k, b], i, j] built entry
+    by entry, then L @ B.reshape(32 d, d)."""
+    d = A.shape[1]
+    i = np.arange(d)
+    idx = (LEFT_SIGNED[:, None, :, None] * d + i[:, None, None]) * d + i
+    left = np.concatenate((A, -A)).take(idx.reshape(DIM * d, DIM * d))
+    return (left @ B.reshape(DIM * d, d)).reshape(DIM, d, d)
+
+
+def _signed_zero_operand(rng, d: int) -> np.ndarray:
+    a = rng.normal(size=(DIM, d, d))
+    a[rng.random(DIM) < 0.3] = 0.0
+    a[rng.random(DIM) < 0.3] = -0.0
+    a[rng.random((DIM, d, d)) < 0.1] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_stacked_product_equals_the_element_gather_byte_for_byte(d):
+    rng = np.random.default_rng(40 + d)
+    dense = [_signed_zero_operand(rng, d) for _ in range(5)]
+    coeffs = rng.normal(size=DIM)
+    coeffs[rng.random(DIM) < 0.3] = -0.0
+    c = Multivector(coeffs)
+    expanded = CliffordMatrix.from_multivector(c, d).a
+    pairs = [(dense[0], dense[1]), (dense[2], expanded), (expanded, dense[3]),
+             (expanded, expanded), (dense[4], -dense[4])]
+    want = [_element_gather_product(A, B).tobytes() for A, B in pairs]
+    stacked = _mul_stack(np.array([A for A, _ in pairs]),
+                         np.array([B for _, B in pairs]))
+    assert [p.tobytes() for p in stacked] == want
+    for (A, B), ref in zip(pairs, want):
+        assert _mul_stack(A[None], B[None])[0].tobytes() == ref
+        assert (CliffordMatrix(A) * CliffordMatrix(B)).a.tobytes() == ref
+    assert (CliffordMatrix(dense[2]) * c).a.tobytes() == want[1]
+    assert (c * CliffordMatrix(dense[3])).a.tobytes() == want[2]
+
+
+@pytest.mark.parametrize("shape", [(DIM,), (DIM, 3), (DIM, 3, 2), (16, 3, 3),
+                                   (1, DIM, 3, 3)])
+def test_clifford_matrix_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=r"expected shape \(32, d, d\)"):
+        CliffordMatrix(np.zeros(shape))
 
 
 def test_qmat_is_computed_once_and_read_only():

@@ -1,5 +1,5 @@
 """Each shared rule has one copy: the space registry in fueter_ops, the
-contour node sum in contour, the sphere guard and the slice-power chain in
+contour node sum in op_calculus, the sphere guard and the slice-power chain in
 kernels, and the canonical evaluator in slice_poly.  These tests compare
 each with the copies it replaced, kept here as references, bit for bit."""
 
@@ -110,8 +110,9 @@ def test_degree_tag_and_block_degrees_are_the_literal_tables():
 
 
 def _reference_poly_calculus_integral(kind, side, P, T, c):
-    """The operator contour integral as it was summed before it shared
-    contour.node_sum."""
+    """The operator contour integral as it was summed before it shared one
+    node sum: one fine_resolvent and one product per node, added in node
+    order."""
     if callable(P):
         f = P
     else:
@@ -129,22 +130,29 @@ def _reference_poly_calculus_integral(kind, side, P, T, c):
     return acc.scale(1.0 / (2.0 * pi))
 
 
-def _one_contour_case(rng):
+def _one_contour_case(rng, N=32):
     T, _ = _rand_tuple(rng, 3, 0.3)
-    return T, circle(0.0, 1.25 * T.norm_bound(), Multivector.basis(1), 32)
+    return T, circle(0.0, 1.25 * T.norm_bound(), Multivector.basis(1), N)
 
 
-def _two_contour_case(rng):
+def _two_contour_case(rng, N=32, M=32):
     T1, _ = _rand_tuple(rng, 2, 0.3, vanish45=True)
     T2, _ = _rand_tuple(rng, 2, 0.3, vanish45=True, shifts=np.full(2, 5.0))
     zeros = np.zeros((2, 2))
     T = OperatorTuple([np.block([[a, zeros], [zeros, b]])
                        for a, b in zip(T1.mats, T2.mats)])
     e2 = Multivector.basis(2)
-    return T, [circle(0.0, 1.2, e2, 32), circle(5.0, 1.2, e2, 32)]
+    return T, [circle(0.0, 1.2, e2, N), circle(5.0, 1.2, e2, M)]
 
 
-@pytest.mark.parametrize("case", (_one_contour_case, _two_contour_case))
+# Node counts that fill whole blocks of 8 and ones whose last block is partial.
+CASES = (_one_contour_case, _two_contour_case,
+         pytest.param(lambda rng: _one_contour_case(rng, 17), id="N17"),
+         pytest.param(lambda rng: _one_contour_case(rng, 23), id="N23"),
+         pytest.param(lambda rng: _two_contour_case(rng, 17, 23), id="N17_23"))
+
+
+@pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("kind", ("SC", "Dbar", "F5"))
 @pytest.mark.parametrize("side", SIDES)
 def test_poly_calculus_integral_equals_the_reference_loop(case, kind, side):
@@ -160,6 +168,30 @@ def test_poly_calculus_integral_equals_the_reference_loop(case, kind, side):
         got = poly_calculus_integral(kind, side, integrand, T, c)
         want = _reference_poly_calculus_integral(kind, side, integrand, T, c)
         assert got.a.tobytes() == want.a.tobytes()
+
+
+def test_poly_calculus_integral_makes_no_per_node_products(monkeypatch):
+    """The contour sum and the kernels are stacked products; a fall back to
+    one CliffordMatrix product per node would show here."""
+    calls = []
+    original = CliffordMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(CliffordMatrix, "__mul__", counted)
+    rng = np.random.default_rng(4)
+    for case in (_one_contour_case, lambda rng: _two_contour_case(rng, 17, 23)):
+        T, c = case(rng)
+        for side in SIDES:
+            P = _rand_slice_poly(rng, 4, side)
+            for kind in ("SC", "Dbar", "Dbar2", "F5"):
+                poly_calculus_integral(kind, side, P, T, c)
+            poly_calculus_integral("F5", side, lambda s: s * s, T, c)
+    assert calls == []
+    CliffordMatrix.identity(2) * CliffordMatrix.identity(2)
+    assert calls == [1]
 
 
 def test_traced_slice_integral_still_takes_one_contour(monkeypatch):

@@ -1,11 +1,13 @@
-"""Write one `verify` JSON report per seed, named `<suite>_<seed>.json`, for
-the seeds FIRST to LAST (inclusive), at the default configuration.
+"""Write one `verify` JSON report per suite and seed, named
+`<suite>_<seed>.json`, for the seeds FIRST to LAST (inclusive), at the
+default configuration.  SUITES is one suite or a comma-separated list, such
+as `identities,kernels,structures`.
 
-    PYTHONPATH=src python tools/sweep_reports.py SUITE FIRST LAST OUTDIR
+    PYTHONPATH=src python tools/sweep_reports.py SUITES FIRST LAST OUTDIR
 
 Run it once in each of two checkouts, then compare the two directories with
 `tools/compare_reports.py OLD_DIR NEW_DIR`.  Exits 2 on a bad argument
-(checked before any suite runs) or an engine error.
+(checked for every suite before any suite runs) or an engine error.
 """
 
 import sys
@@ -15,21 +17,22 @@ from finestruct.errors import EngineError
 from finestruct.harness import emit, parse_config, run_suite
 
 
-def sweep(suite: str, first: int, last: int, outdir: Path) -> None:
-    """Run the suite at each seed and write its report into outdir."""
+def sweep(suites: str, first: int, last: int, outdir: Path) -> None:
+    """Run each suite of the comma-separated list at each seed and write its
+    report into outdir."""
     cfgs = [parse_config(["--suite", suite, "--seed", str(seed)])
-            for seed in range(first, last + 1)]
+            for suite in suites.split(",") for seed in range(first, last + 1)]
     outdir.mkdir(parents=True, exist_ok=True)
     for cfg in cfgs:
         report = emit(run_suite(cfg), cfg["format"])
-        (outdir / f"{suite}_{cfg['seed']}.json").write_bytes(report)
+        (outdir / f"{cfg['suite']}_{cfg['seed']}.json").write_bytes(report)
 
 
 def main(argv) -> int:
     if len(argv) != 5:
         print(__doc__, file=sys.stderr)
         return 2
-    suite, first, last, outdir = argv[1:]
+    suites, first, last, outdir = argv[1:]
     try:
         first, last = int(first), int(last)
     except ValueError:
@@ -37,7 +40,7 @@ def main(argv) -> int:
               file=sys.stderr)
         return 2
     try:
-        sweep(suite, first, last, Path(outdir))
+        sweep(suites, first, last, Path(outdir))
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
