@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotImaginaryUnit, ZeroParavector
+from .errors import NotImaginaryUnit, NotParavector, ZeroParavector
 
 N_GENERATORS = 5
 DIM = 1 << N_GENERATORS
@@ -58,6 +58,9 @@ SIGN_TABLE, INDEX_TABLE = _build_tables()
 
 GRADE = np.array([bin(m).count("1") for m in range(DIM)])
 PARAVECTOR_MASKS = (0, 1, 2, 4, 8, 16)
+# True at the blades outside the paravector slots.
+_HIGHER = np.ones(DIM, dtype=bool)
+_HIGHER[list(PARAVECTOR_MASKS)] = False
 CONJUGATE_SIGNS = np.where(GRADE == 1, -1.0, 1.0)
 
 
@@ -237,8 +240,7 @@ def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def is_paravector(x: Multivector, atol: float = ATOL_DEFAULT) -> bool:
-    higher = np.delete(x.c, PARAVECTOR_MASKS)
-    return bool(np.max(np.abs(higher), initial=0.0) <= atol)
+    return bool(np.max(np.abs(x.c[_HIGHER]), initial=0.0) <= atol)
 
 
 def paravector_conjugate(x: Multivector) -> Multivector:
@@ -261,6 +263,11 @@ def paravector_norm_sq_rows(X: np.ndarray) -> np.ndarray:
 
 
 def paravector_inverse(x: Multivector) -> Multivector:
+    """xbar / |x|^2.  Raises NotParavector if any blade outside the six
+    paravector slots is nonzero, exactly (for such x, xbar / |x|^2 is not
+    an inverse), and ZeroParavector if |x|^2 is 0."""
+    if np.count_nonzero(x.c[_HIGHER]):
+        raise NotParavector("cannot invert a multivector that is not a paravector")
     n2 = paravector_norm_sq(x)
     if n2 == 0.0:
         raise ZeroParavector("cannot invert the zero paravector")

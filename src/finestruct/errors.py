@@ -9,6 +9,10 @@ class ZeroParavector(EngineError):
     """Inversion of a paravector with zero norm."""
 
 
+class NotParavector(EngineError):
+    """A paravector was required, but a blade of grade 2 or more is nonzero."""
+
+
 class NotImaginaryUnit(EngineError):
     """A unit 1-vector was required but not supplied."""
 

@@ -32,6 +32,7 @@ from .slice_poly import (
     CanonicalPoly,
     SlicePolynomial,
     XBarPolynomial,
+    _accumulate,
     is_slice,
     to_canonical,
 )
@@ -94,13 +95,16 @@ def _d0(C: CanonicalPoly) -> CanonicalPoly:
     return out
 
 
+def _radial_factor(b: int) -> int:
+    """The radial part of D on x_^b is this factor times x_^(b-1)."""
+    return -b if b % 2 == 0 else -(b + 4)
+
+
 def _radial(C: CanonicalPoly) -> CanonicalPoly:
     out = CanonicalPoly(side=C.side)
     for (a, b), c in C.terms.items():
-        if b == 0:
-            continue
-        factor = -b if b % 2 == 0 else -(b + 4)
-        out._add_term(a, b - 1, c * factor)
+        if b > 0:
+            out._add_term(a, b - 1, c * _radial_factor(b))
     return out
 
 
@@ -165,7 +169,7 @@ def _int_letter(letter: str, terms) -> dict:
     for (a, b), n in terms.items():
         if b > 0:
             key = _key(a, b - 1)
-            new = out.get(key, 0) + sign * n * (-b if b % 2 == 0 else -(b + 4))
+            new = out.get(key, 0) + sign * n * _radial_factor(b)
             if new:
                 out[key] = new
             else:
@@ -370,18 +374,7 @@ class AxialPoly:
         self.terms: dict[tuple[int, int], Multivector] = {}
         if terms:
             for (i, j), c in dict(terms).items():
-                self._add(int(i), int(j), c)
-
-    def _add(self, i: int, j: int, c: Multivector) -> None:
-        if c.is_zero():
-            return
-        key = (i, j)
-        cur = self.terms.get(key)
-        new = c if cur is None else cur + c
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+                _accumulate(self.terms, (int(i), int(j)), c)
 
     def deriv(self, i: int, j: int) -> "AxialPoly":
         out = self
@@ -395,9 +388,9 @@ class AxialPoly:
         out = AxialPoly()
         for (i, j), c in self.terms.items():
             if axis == 0 and i > 0:
-                out._add(i - 1, j, c * i)
+                _accumulate(out.terms, (i - 1, j), c * i)
             elif axis == 1 and j > 0:
-                out._add(i, j - 1, c * j)
+                _accumulate(out.terms, (i, j - 1), c * j)
         return out
 
     def __call__(self, x0: float, r: float) -> Multivector:
@@ -415,9 +408,9 @@ def axial_parts(C: CanonicalPoly) -> tuple[AxialPoly, AxialPoly]:
     B = AxialPoly()
     for (a, b), c in C.terms.items():
         if b % 2 == 0:
-            A._add(a, b, c * ((-1.0) ** (b // 2)))
+            _accumulate(A.terms, (a, b), c * ((-1.0) ** (b // 2)))
         else:
-            B._add(a, b, c * ((-1.0) ** ((b - 1) // 2)))
+            _accumulate(B.terms, (a, b), c * ((-1.0) ** ((b - 1) // 2)))
     return A, B
 
 

@@ -10,8 +10,10 @@ The closed forms live in one table, KERNEL_TERMS: each kind is a sum of
 terms c * L Q^(-k) R, written for the left kernel, with L and R among
 s - xbar, s - x0, (s - x0)^2, x - s or nothing.  The right kernel is the
 mirror image: L and R swap places.  kernel_from_table evaluates a row for
-any ring in which these factors and Q^(-k) can be built; fine_kernel reads it
-with multivectors and op_calculus.fine_resolvent with operators (x -> T).
+any ring in which these factors and Q^(-k) can be built.  One stacked
+evaluator, _table_stack, builds the factors and carries the product for all
+three readers: fine_kernel (one multivector row), fine_kernel_rows ((n, 32)
+rows) and op_calculus's resolvents ((n, 32, d, d) operators, x -> T).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .clifford_core import (
     CONJUGATE_SIGNS,
+    DIM,
     Multivector,
     ONE,
     ZERO,
@@ -172,37 +175,59 @@ def f5_kernel(side: str, s: Multivector, x: Multivector) -> Multivector:
 
 
 def fine_kernel(kind: str, side: str, s: Multivector, x: Multivector) -> Multivector:
-    """Closed form of the kernel associated with the operator word of kind."""
+    """Closed form of the kernel associated with the operator word of kind:
+    the one-row case of _table_stack, with Q^(-k) from inverse_power."""
     q = _guarded_q(s, x)
-
-    def factor(name):
-        if name == S_MINUS_XBAR:
-            return s - paravector_conjugate(x)
-        if name == S_MINUS_X0:
-            return s - Multivector.scalar(x[0])
-        return x - s
-
-    return kernel_from_table(kind, side, factor, lambda k: inverse_power(q, k))
+    K = _table_stack(kind, side, s.c[None], x.c[None],
+                     lambda k: inverse_power(q, k).c[None], mv_mul_rows)
+    return Multivector._wrap(K[0])
 
 
-class _Rows:
-    """(n, 32) coefficient rows as a ring for kernel_from_table: * is the
-    row-wise Clifford product (mv_mul_rows) or, by a float, elementwise."""
+class _Ring:
+    """Stacks of elements (blade axis 1) as a ring for kernel_from_table: *
+    is the stacked product mul or, by a float, elementwise."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "mul")
 
-    def __init__(self, c: np.ndarray):
+    def __init__(self, c: np.ndarray, mul):
         self.c = c
+        self.mul = mul
 
     def __mul__(self, other):
-        if isinstance(other, _Rows):
-            return _Rows(mv_mul_rows(self.c, other.c))
-        return _Rows(self.c * other)
+        if isinstance(other, _Ring):
+            return _Ring(self.mul(self.c, other.c), self.mul)
+        return _Ring(self.c * other, self.mul)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return _Rows(self.c + other.c)
+        return _Ring(self.c + other.c, self.mul)
+
+
+def _table_stack(kind: str, side: str, S: np.ndarray, X: np.ndarray, q_power,
+                 mul) -> np.ndarray:
+    """The KERNEL_TERMS row of kind at the stacks S and X, whose blade axis
+    is axis 1: (n, 32) multivector rows, or (n, 32, d, d) operators (s I and
+    x -> T).  Either stack may have one element, which is broadcast.
+
+    The one rule for the table's factors: s - xbar is S - X with the vector
+    blades negated, s - x0 is S - X with only blade 0 kept, and x - s is
+    X - S.  q_power(k) gives the stack of Q^(-k), and mul(A, B) is the
+    product of two stacks element by element (mv_mul_rows or
+    op_calculus._mul_stack)."""
+    conj = CONJUGATE_SIGNS.reshape((DIM,) + (1,) * (X.ndim - 2))
+
+    def factor(name):
+        if name == S_MINUS_XBAR:
+            return _Ring(S - X * conj, mul)
+        if name == S_MINUS_X0:
+            x0 = np.zeros_like(X)
+            x0[:, 0] = X[:, 0]
+            return _Ring(S - x0, mul)
+        return _Ring(X - S, mul)
+
+    return kernel_from_table(kind, side, factor,
+                             lambda k: _Ring(q_power(k), mul)).c
 
 
 def _as_rows(p) -> np.ndarray:
@@ -215,7 +240,7 @@ def fine_kernel_rows(kind: str, side: str, S, X) -> np.ndarray:
 
     The float operations are fine_kernel's, row by row: Q and its sphere
     guard as in _guarded_q, Q^(-1) with + 0.0 and its powers as in
-    inverse_power, and the table's factors and products.  Raises
+    inverse_power, and the table through _table_stack.  Raises
     SpectralSphereHit if any pair lies on one sphere."""
     S, X = _as_rows(S), _as_rows(X)
     nx = paravector_norm_sq_rows(X)
@@ -229,21 +254,12 @@ def fine_kernel_rows(kind: str, side: str, S, X) -> np.ndarray:
     q_inv = q * (CONJUGATE_SIGNS * (1.0 / nq)[:, None])
 
     def q_power(k):
-        out = _Rows(q_inv + 0.0)
+        out = q_inv + 0.0
         for _ in range(k - 1):
-            out = out * _Rows(q_inv)
+            out = mv_mul_rows(out, q_inv)
         return out
 
-    def factor(name):
-        if name == S_MINUS_XBAR:
-            return _Rows(S - X * CONJUGATE_SIGNS)
-        if name == S_MINUS_X0:
-            x0 = np.zeros_like(X)
-            x0[:, 0] = X[:, 0]
-            return _Rows(S - x0)
-        return _Rows(X - S)
-
-    return kernel_from_table(kind, side, factor, q_power).c
+    return _table_stack(kind, side, S, X, q_power, mv_mul_rows)
 
 
 def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,

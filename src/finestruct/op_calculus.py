@@ -43,9 +43,8 @@ from .errors import (
     SpectrumNotEnclosed,
 )
 from .fueter_ops import KIND_WORDS, word_image
-from .kernels import (KERNEL_TERMS, S_MINUS_X0, S_MINUS_XBAR,
-                      _slice_inverse_powers, _sphere_guarded, kernel_from_table,
-                      pseudo_kernel)
+from .kernels import (KERNEL_TERMS, _slice_inverse_powers, _sphere_guarded,
+                      _table_stack, pseudo_kernel)
 from .slice_poly import (
     LEFT,
     RIGHT,
@@ -143,26 +142,6 @@ def _left_rows(d: int) -> np.ndarray:
     rows = (LEFT_SIGNED[:, None, :] * d + i[:, None]).ravel()
     rows.flags.writeable = False
     return rows
-
-
-class _Stack:
-    """(n, 32, d, d) operator stacks as a ring for kernel_from_table: * is
-    the node-wise product (_mul_stack) or, by a float, elementwise."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-
-    def __mul__(self, other):
-        if isinstance(other, _Stack):
-            return _Stack(_mul_stack(self.a, other.a))
-        return _Stack(self.a * other)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return _Stack(self.a + other.a)
 
 
 @lru_cache(maxsize=None)
@@ -339,27 +318,20 @@ _BLOCK = 8
 def _resolvent_blocks(kind: str, side: str, T: OperatorTuple, nodes):
     """The table row of kind at the nodes, as one (n, 32, d, d) stack per
     block of _BLOCK nodes.  Every power Q^(-k) that the row needs is a
-    stacked matrix_power of one stacked inverse of all the nodes, T, Tbar
-    and T0 are built once, and the row's products are stacked products."""
+    stacked matrix_power of one stacked inverse of all the nodes, and
+    kernels._table_stack builds the row from s I and T with stacked
+    products."""
     kind = _table_kind(kind)
     W, units = _stacked_solve(T, nodes)
     powers = {k: _paravector_slots(np.linalg.matrix_power(W, k), units)
               for k in {k for _, _, k, _ in KERNEL_TERMS.get(kind, ())}}
-    Tc = T.as_clifford().a
-    shifts = {S_MINUS_XBAR: T.conj_clifford().a,
-              S_MINUS_X0: CliffordMatrix.from_blade(0, T.T0).a}
+    Tc = T.as_clifford().a[None]
     S = np.array([s.c for s in nodes])
     for lo in range(0, len(nodes), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        sI = _expand(S[block], T.d)
-
-        def factor(name, sI=sI):
-            return _Stack(sI - shifts[name] if name in shifts else Tc - sI)
-
-        def q_power(k, block=block):
-            return _Stack(_from_paravector_slots(powers[k][block]))
-
-        yield kernel_from_table(kind, side, factor, q_power).a
+        yield _table_stack(
+            kind, side, _expand(S[block], T.d), Tc,
+            lambda k: _from_paravector_slots(powers[k][block]), _mul_stack)
 
 
 def _expand(rows: np.ndarray, d: int) -> np.ndarray:

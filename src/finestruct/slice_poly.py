@@ -69,6 +69,19 @@ class XBarPolynomial:
         self.terms = [(int(a), int(b), _coerce_coeff(c)) for a, b, c in terms]
 
 
+def _accumulate(terms: dict, key, c: Multivector) -> None:
+    """Add c into terms[key]: a zero c is skipped, and the key is dropped
+    when the sum cancels to zero, so terms holds no zero value."""
+    if c.is_zero():
+        return
+    cur = terms.get(key)
+    new = c if cur is None else cur + c
+    if new.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = new
+
+
 class CanonicalPoly:
     """Exact polynomial sum over (a, b) of x0^a x_^b c_ab."""
 
@@ -80,31 +93,21 @@ class CanonicalPoly:
                 self._add_term(int(a), int(b), _coerce_coeff(c))
 
     def _add_term(self, a: int, b: int, c: Multivector) -> None:
-        if c.is_zero():
-            return
-        key = (a, b)
-        cur = self.terms.get(key)
-        new = c if cur is None else cur + c
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        _accumulate(self.terms, (a, b), c)
+
+    def _merge(self, other: "CanonicalPoly", negate: bool) -> "CanonicalPoly":
+        if self.side != other.side:
+            raise ValueError("side mismatch")
+        out = CanonicalPoly(self.terms, self.side)
+        for (a, b), c in other.terms.items():
+            out._add_term(a, b, -c if negate else c)
+        return out
 
     def __add__(self, other: "CanonicalPoly") -> "CanonicalPoly":
-        if self.side != other.side:
-            raise ValueError("side mismatch")
-        out = CanonicalPoly(self.terms, self.side)
-        for (a, b), c in other.terms.items():
-            out._add_term(a, b, c)
-        return out
+        return self._merge(other, negate=False)
 
     def __sub__(self, other: "CanonicalPoly") -> "CanonicalPoly":
-        if self.side != other.side:
-            raise ValueError("side mismatch")
-        out = CanonicalPoly(self.terms, self.side)
-        for (a, b), c in other.terms.items():
-            out._add_term(a, b, -c)
-        return out
+        return self._merge(other, negate=True)
 
     def scale(self, factor: float) -> "CanonicalPoly":
         return CanonicalPoly(

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finestruct.clifford_core import (
+    CONJUGATE_SIGNS,
     GRADE,
     ONE,
     PARAVECTOR_MASKS,
@@ -19,7 +20,7 @@ from finestruct.clifford_core import (
     paravector_inverse,
     paravector_norm_sq,
 )
-from finestruct.errors import NotImaginaryUnit, ZeroParavector
+from finestruct.errors import EngineError, NotImaginaryUnit, NotParavector, ZeroParavector
 
 small_ints = st.integers(min_value=-4, max_value=4)
 mv_strategy = st.builds(
@@ -177,3 +178,25 @@ def test_grade_part():
 
 def test_paravector_masks():
     assert PARAVECTOR_MASKS == (0, 1, 2, 4, 8, 16)
+
+
+def test_paravector_inverse_rejects_a_non_paravector():
+    x = Multivector.basis(1) + Multivector.basis(3)  # e1 + e12
+    # xbar / |x|^2, the value it used to return, is no inverse of x.
+    xbar = Multivector(x.c * CONJUGATE_SIGNS / paravector_norm_sq(x))
+    assert not (x * xbar - ONE).is_zero(0.5)
+    with pytest.raises(NotParavector):
+        paravector_inverse(x)
+    assert issubclass(NotParavector, EngineError)
+
+
+def test_paravector_inverse_guard_is_exact():
+    # Any nonzero blade outside the paravector slots is rejected, at any
+    # scale; a signed zero there is a zero.
+    for tiny in (1e-300, 5e-324):
+        with pytest.raises(NotParavector):
+            paravector_inverse(ONE + Multivector.basis(31) * tiny)
+    c = Multivector.paravector(2.0, 1.0).c.copy()
+    c[[3, 7, 31]] = -0.0
+    inv = paravector_inverse(Multivector(c))
+    assert inv == paravector_inverse(Multivector.paravector(2.0, 1.0))

@@ -50,6 +50,25 @@ def test_moved_value_is_printed_and_exits_0(tmp_path, capsys):
     assert capsys.readouterr().out == "a.one: pass, 1e-12 -> 2e-12\n"
 
 
+def test_signed_zero_move_is_printed_and_exits_0(tmp_path, capsys):
+    old = _write(tmp_path / "old.json", [("a.one", "pass", 0.0)])
+    new = _write(tmp_path / "new.json", [("a.one", "pass", -0.0)])
+    assert old.read_bytes() != new.read_bytes()
+    assert _run(old, new) == 0
+    assert capsys.readouterr().out == "a.one: pass, 0.0 -> -0.0\n"
+
+
+def test_nan_that_stays_nan_is_not_a_move(tmp_path, capsys):
+    checks = [("a.one", "fail", float("nan")), BASE[1]]
+    old = _write(tmp_path / "old.json", checks)
+    new = _write(tmp_path / "new.json", checks)
+    assert _run(old, new) == 0
+    assert capsys.readouterr().out == ""
+    new = _write(tmp_path / "new.json", [("a.one", "fail", 1.0), BASE[1]])
+    assert _run(old, new) == 0
+    assert capsys.readouterr().out == "a.one: fail, nan -> 1.0\n"
+
+
 def test_status_flip_exits_1(tmp_path, capsys):
     old = _write(tmp_path / "old.json", BASE)
     new = _write(tmp_path / "new.json", [("a.one", "fail", 1e-12), BASE[1]])

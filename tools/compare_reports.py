@@ -6,8 +6,18 @@ flip or when the check ids or file names differ, 0 otherwise.
 """
 
 import json
+import struct
 import sys
 from pathlib import Path
+
+
+def moved(x, y) -> bool:
+    """True when two report values differ.  Floats are compared by their
+    bits, as the report bytes are: 0.0 -> -0.0 is a move, and a NaN that
+    stays NaN is not."""
+    if isinstance(x, float) and isinstance(y, float):
+        return struct.pack("<d", x) != struct.pack("<d", y)
+    return x != y
 
 
 def compare(old: Path, new: Path, label: str) -> bool:
@@ -25,7 +35,7 @@ def compare(old: Path, new: Path, label: str) -> bool:
         if x["status"] != y["status"]:
             print(f"{label}{cid}: FLIP {x['status']} -> {y['status']}, {move}")
             bad = True
-        elif x["value"] != y["value"]:
+        elif moved(x["value"], y["value"]):
             print(f"{label}{cid}: {x['status']}, {move}")
     return bad
 
