@@ -220,22 +220,49 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     return Multivector._wrap(_gather_product(a.c, b.c))
 
 
+def _madd(acc: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """acc += x * y: one step of mv_mul_rows."""
+    acc += x * y
+
+
 def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise product of two (n, 32) coefficient arrays, bit for bit equal
-    to mv_mul on each row.
+    to mv_mul on each row whenever B is finite (mv_mul's own skip of the
+    zero blades of A assumes as much).
 
-    One row is mv_mul's single gather.  Otherwise the sum runs over the
-    blades a that are nonzero in any row of A, in ascending order, from 0.0.
-    In a row whose A[a] is zero, that blade adds signed zeros (B finite),
-    which leave a sum started at +0.0 unchanged, so each row gets the bits
-    of its own mv_mul.  Temporaries stay (n, 32).
+    One row is mv_mul's single gather.  Otherwise the sum runs from +0.0
+    over the operand with fewer blades nonzero in any row:
+    - over A's blades a, in ascending order (A no denser than B, or A not
+      finite): step a adds A[:, a] * SIGN_TABLE[a, a ^ k] * B[:, a ^ k] to
+      every slot k;
+    - over B's nb blades (B sparser and A finite): step t adds, to each
+      slot k, the term of the t-th left blade a, in ascending order, with
+      a ^ k among B's blades, as two (n, 32) column gathers.
+    Either way each slot takes its nonzero terms in ascending order of a,
+    as mv_mul does.  A skipped term, or a term of a row whose factor is
+    zero, is a signed zero (the other factor being finite), and adding a
+    signed zero never changes a sum started at +0.0, which cannot become
+    -0.0; so each row gets the bits of its own mv_mul.  A non-finite A
+    stays on the loop over A, where inf * 0 gives NaN as in mv_mul.
+    Temporaries stay (n, 32).
     """
     if len(A) == 1:
         return _gather_product(A[0], B[0])[None]
     signed = np.concatenate((B, -B), axis=1)
     acc = np.zeros(A.shape)
-    for a in np.flatnonzero(np.any(A != 0.0, axis=0)):
-        acc += A[:, a, None] * signed[:, SIGNED_INDEX[a]]
+    # A blade counts as nonzero if it is nonzero (not +-0.0) in any row.
+    left = np.flatnonzero(A.any(axis=0))
+    keep = B.any(axis=0)
+    nb = np.count_nonzero(keep)
+    if nb < len(left) and np.isfinite(A).all():
+        # a_idx[t, k]: the t-th a, ascending, whose partner a ^ k is kept.
+        a_idx = np.argsort(~keep[INDEX_TABLE], axis=0, kind="stable")[:nb]
+        s_idx = np.take_along_axis(SIGNED_INDEX, a_idx, axis=0)
+        for a_t, s_t in zip(a_idx, s_idx):
+            _madd(acc, A[:, a_t], signed[:, s_t])
+    else:
+        for a in left:
+            _madd(acc, A[:, a, None], signed[:, SIGNED_INDEX[a]])
     return acc
 
 

@@ -10,46 +10,66 @@ spectrally accurate for the analytic periodic integrands used here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin, sqrt
+from functools import cached_property
+from math import cos, isfinite, pi, sin, sqrt
 
 import numpy as np
 
-from .clifford_core import Multivector, check_imaginary_unit, mv_mul_rows
+from .clifford_core import DIM, Multivector, check_imaginary_unit, mv_mul_rows
 from .errors import DegenerateRadius, PointOutsideDomain
 from .fueter_ops import KIND_WORDS, apply_word
 from .kernels import fine_kernel_rows
 from .slice_poly import LEFT, SlicePolynomial, canonical_eval, eval_slice_poly_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contour:
     J: Multivector
     center: float
     radius: float
-    nodes: tuple      # s_i on the circle
-    dsj: tuple        # ds_J value times quadrature weight at each node
+    node_rows: np.ndarray   # read-only (N, 32): s_i on the circle
+    dsj_rows: np.ndarray    # read-only (N, 32): ds_J value times weight
 
-    @property
-    def node_rows(self) -> np.ndarray:
-        """The nodes as an (N, 32) array."""
-        return np.array([s.c for s in self.nodes])
+    @cached_property
+    def nodes(self) -> tuple:
+        """The nodes as Multivector views of node_rows."""
+        return tuple(map(Multivector._wrap, self.node_rows))
+
+    @cached_property
+    def dsj(self) -> tuple:
+        """The weighted ds_J values as Multivector views of dsj_rows."""
+        return tuple(map(Multivector._wrap, self.dsj_rows))
 
 
 def circle(center: float, radius: float, J: Multivector, N: int = 256) -> Contour:
-    if radius <= 0.0:
-        raise DegenerateRadius("radius must be positive")
+    """The N-node trapezoid contour s(θ) = center + radius·e^{Jθ}.
+
+    The rows are built with the float operations of the ring expressions
+    center + radius·c + J·(radius·s) and (1·c + J·s)·(radius·weight), at
+    c = cos θ and s = sin θ."""
+    if not (isfinite(center) and isfinite(radius) and radius > 0.0):
+        raise DegenerateRadius("center and radius must be finite, and the "
+                               "radius positive")
     if N < 16:
         raise ValueError("at least 16 nodes required")
     check_imaginary_unit(J)
     weight = 2.0 * pi / N
-    nodes = []
-    dsj = []
-    for i in range(N):
-        theta = weight * i
-        c, s = cos(theta), sin(theta)
-        nodes.append(Multivector.scalar(center + radius * c) + J * (radius * s))
-        dsj.append((Multivector.scalar(c) + J * s) * (radius * weight))
-    return Contour(J, float(center), float(radius), tuple(nodes), tuple(dsj))
+    cs = [cos(weight * i) for i in range(N)]
+    sn = [sin(weight * i) for i in range(N)]
+    node_rows = (_blade0_rows([center + radius * c for c in cs])
+                 + J.c * np.array([radius * s for s in sn])[:, None])
+    dsj_rows = ((_blade0_rows(cs) + J.c * np.array(sn)[:, None])
+                * (radius * weight))
+    for rows in (node_rows, dsj_rows):
+        rows.setflags(write=False)
+    return Contour(J, float(center), float(radius), node_rows, dsj_rows)
+
+
+def _blade0_rows(values) -> np.ndarray:
+    """(n, 32) rows holding the values in blade 0, as Multivector.scalar."""
+    rows = np.zeros((len(values), DIM))
+    rows[:, 0] = values
+    return rows
 
 
 def _rows_at(value, n: int) -> np.ndarray:
@@ -65,9 +85,8 @@ def slice_integral(K, c: Contour, f, side: str = LEFT) -> Multivector:
     K and f take the (N, 32) node rows and return (N, 32) rows, or one
     Multivector for a value that is the same at every node.  The terms are
     formed on all rows at once and added node after node from zero."""
-    S = c.node_rows
+    S, w = c.node_rows, c.dsj_rows
     kv, fv = _rows_at(K(S), len(S)), _rows_at(f(S), len(S))
-    w = np.array([d.c for d in c.dsj])
     terms = (mv_mul_rows(mv_mul_rows(kv, w), fv) if side == LEFT
              else mv_mul_rows(mv_mul_rows(fv, w), kv))
     # Reducing over axis 0 adds whole rows one after another, in node order.

@@ -433,7 +433,7 @@ def node_sum(acc: np.ndarray, kernels, c, fvals: np.ndarray,
     terms of a block are stacked products; the multivector product
     f_i·dsJ_i is mv_mul_rows, which equals mv_mul row by row."""
     d = acc.shape[-1]
-    w = np.array([x.c for x in c.dsj])
+    w = c.dsj_rows
     if side != LEFT:
         fw = mv_mul_rows(fvals, w)
     for lo, K in zip(range(0, len(w), _BLOCK), kernels):
