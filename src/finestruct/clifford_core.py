@@ -230,7 +230,8 @@ def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     to mv_mul on each row whenever B is finite (mv_mul's own skip of the
     zero blades of A assumes as much).
 
-    One row is mv_mul's single gather.  Otherwise the sum runs from +0.0
+    A one-row operand broadcasts against the other's rows.  One row times
+    one row is mv_mul's single gather.  Otherwise the sum runs from +0.0
     over the operand with fewer blades nonzero in any row:
     - over A's blades a, in ascending order (A no denser than B, or A not
       finite): step a adds A[:, a] * SIGN_TABLE[a, a ^ k] * B[:, a ^ k] to
@@ -246,10 +247,10 @@ def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     stays on the loop over A, where inf * 0 gives NaN as in mv_mul.
     Temporaries stay (n, 32).
     """
-    if len(A) == 1:
+    if len(A) == len(B) == 1:
         return _gather_product(A[0], B[0])[None]
     signed = np.concatenate((B, -B), axis=1)
-    acc = np.zeros(A.shape)
+    acc = np.zeros((max(len(A), len(B)), DIM))
     # A blade counts as nonzero if it is nonzero (not +-0.0) in any row.
     left = np.flatnonzero(A.any(axis=0))
     keep = B.any(axis=0)

@@ -24,6 +24,7 @@ from math import hypot, pi, sqrt
 import numpy as np
 
 from .clifford_core import (
+    CONJUGATE_SIGNS,
     DIM,
     LEFT_SIGNED,
     Multivector,
@@ -192,11 +193,7 @@ class OperatorTuple:
         return CliffordMatrix(a)
 
     def conj_clifford(self) -> CliffordMatrix:
-        a = np.zeros((DIM, self.d, self.d))
-        a[0] = self.mats[0]
-        for i, mask in enumerate(PARAVECTOR_MASKS[1:]):
-            a[mask] = -self.mats[i + 1]
-        return CliffordMatrix(a)
+        return CliffordMatrix(self.as_clifford().a * CONJUGATE_SIGNS[:, None, None])
 
     def norm_bound(self) -> float:
         return float(sum(np.linalg.norm(m, 2) for m in self.mats))
@@ -380,19 +377,29 @@ def _axial_eval(image, T: OperatorTuple, powers) -> CliffordMatrix:
     return CliffordMatrix(out)
 
 
+def _image_sum(kind: str, side: str, T: OperatorTuple, coeffs) -> CliffordMatrix:
+    """Sum over m of image_m(T) * coeffs[m] (left) or coeffs[m] * image_m(T)
+    (right), where image_m is the image of x^m under the kind's word,
+    evaluated at T in axial form; a zero coefficient adds nothing and is
+    skipped."""
+    word = KIND_WORDS[_table_kind(kind)]
+    powers = _axial_powers(T)
+    out = CliffordMatrix.zero(T.d)
+    for m, coeff in enumerate(coeffs):
+        if coeff.is_zero():
+            continue
+        image = _axial_eval(word_image(word, m), T, powers)
+        out = out + (image * coeff if side == LEFT else coeff * image)
+    return out
+
+
 def fine_resolvent_series(kind: str, side: str, T: OperatorTuple,
                           s: Multivector, N: int) -> CliffordMatrix:
     """Partial sum of the resolvent expansion: sum over m <= N of the image
     of x^m under the kind's word, evaluated at T, times s^(-1-m)."""
     if T.norm_bound() >= sqrt(paravector_norm_sq(s)):
         raise OutsideConvergenceDisk("series requires ||T|| < |s|")
-    word = KIND_WORDS[_table_kind(kind)]
-    powers = _axial_powers(T)
-    out = CliffordMatrix.zero(T.d)
-    for m, sp in enumerate(_slice_inverse_powers(s, N)):
-        image = _axial_eval(word_image(word, m), T, powers)
-        out = out + (image * sp if side == LEFT else sp * image)
-    return out
+    return _image_sum(kind, side, T, _slice_inverse_powers(s, N))
 
 
 def _contours_of(c):
@@ -452,15 +459,7 @@ def poly_calculus_exact(kind: str, side: str, P: SlicePolynomial,
                         T: OperatorTuple) -> CliffordMatrix:
     """Exact substitution oracle: the operator word of the kind applied to
     each monomial, evaluated at x -> T, with the polynomial's coefficients."""
-    out = CliffordMatrix.zero(T.d)
-    word = KIND_WORDS[_table_kind(kind)]
-    powers = _axial_powers(T)
-    for m, coeff in enumerate(P.coeffs):
-        if coeff.is_zero():
-            continue
-        image = _axial_eval(word_image(word, m), T, powers)
-        out = out + (image * coeff if side == LEFT else coeff * image)
-    return out
+    return _image_sum(kind, side, T, P.coeffs)
 
 
 def f5_moment(T: OperatorTuple, c, j: int) -> CliffordMatrix:

@@ -140,20 +140,15 @@ class StemPair:
 
 
 def eval_slice_poly(P: SlicePolynomial, x: Multivector) -> Multivector:
-    """Horner evaluation respecting the side of the coefficients."""
-    acc = ZERO
-    if P.side == LEFT:
-        for c in reversed(P.coeffs):
-            acc = x * acc + c
-    else:
-        for c in reversed(P.coeffs):
-            acc = acc * x + c
-    return acc
+    """Horner evaluation respecting the side of the coefficients:
+    eval_slice_poly_rows on the single row x."""
+    return Multivector._wrap(eval_slice_poly_rows(P, x.c[None, :])[0])
 
 
 def eval_slice_poly_rows(P: SlicePolynomial, X: np.ndarray) -> np.ndarray:
-    """eval_slice_poly at each row x of X (n, 32), bit for bit: the same
-    Horner steps, with mv_mul_rows for the products."""
+    """Horner evaluation, x * acc + c (left) or acc * x + c (right) from
+    acc = 0, at each row x of X (n, 32), with mv_mul_rows for the
+    products."""
     acc = np.zeros_like(X)
     for c in reversed(P.coeffs):
         acc = (mv_mul_rows(X, acc) if P.side == LEFT

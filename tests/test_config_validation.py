@@ -4,7 +4,7 @@ raised before any suite runs."""
 import pytest
 
 from finestruct.errors import ConfigError
-from finestruct.harness import main, parse_config
+from finestruct.harness import SETTINGS, main, parse_config
 
 
 def _rejected(argv, capsys):
@@ -41,6 +41,33 @@ def test_malformed_integer_in_file_rejected_with_its_line(tmp_path, capsys):
     with pytest.raises(ConfigError, match=f"{path}:2"):
         parse_config(["--config", path])
     _rejected(["--config", path], capsys)
+
+
+def test_malformed_boolean_in_file_rejected_with_its_line(tmp_path, capsys):
+    path = _config_file(tmp_path, "suite = structures\ntiming = maybe\n")
+    with pytest.raises(ConfigError, match=f"{path}:2"):
+        parse_config(["--config", path])
+    _rejected(["--config", path], capsys)
+
+
+@pytest.mark.parametrize("raw, value", (
+    ("1", True), ("true", True), ("YES", True),
+    ("0", False), ("False", False), ("no", False)))
+def test_file_boolean_words_in_any_case(tmp_path, raw, value):
+    path = _config_file(tmp_path, f"timing = {raw}\n")
+    assert parse_config(["--config", path])["timing"] is value
+
+
+@pytest.mark.parametrize("name", [n for n, spec in SETTINGS.items()
+                                  if len(spec) == 3])
+def test_each_least_value_is_enforced_on_the_flag_and_in_the_file(
+        tmp_path, capsys, name):
+    low = SETTINGS[name][2]
+    _rejected(["--" + name.replace("_", "-"), str(low - 1)], capsys)
+    _rejected(["--config", _config_file(tmp_path, f"{name} = {low - 1}\n")],
+              capsys)
+    assert parse_config(["--config", _config_file(
+        tmp_path, f"{name} = {low}\n")])[name] == low
 
 
 def test_malformed_tolerance_in_file_rejected_with_its_line(tmp_path, capsys):

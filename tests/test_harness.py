@@ -1,13 +1,17 @@
 import json
 import re
 import time
+from math import isnan, nan
 
+import numpy as np
 import pytest
 
 from finestruct import harness
+from finestruct.clifford_core import Multivector
 from finestruct.errors import ConfigError, UnknownSuite
 from finestruct.harness import (
     DEFAULTS,
+    SETTINGS,
     TOL_DEFAULTS,
     emit,
     main,
@@ -151,3 +155,63 @@ def test_vekua_suite_flags_transcription_slips():
         "vekua.PolyCliffordian12.printed_residual",
     }
     assert report["summary"]["fail"] == 0
+
+
+# -- the check protocol ------------------------------------------------------------
+
+
+def test_defaults_come_from_the_settings_table():
+    assert DEFAULTS == {name: spec[1] for name, spec in SETTINGS.items()}
+    assert parse_config([]) == dict(DEFAULTS, tol=TOL_DEFAULTS)
+
+
+def _one_check(monkeypatch, samples, forced, tol=0.5):
+    def suite(cfg, tol_table):
+        yield ("structures.probe", samples, tol, forced)
+
+    monkeypatch.setitem(harness._SUITE_FUNCS, "structures", suite)
+    report = run_suite(parse_config(["--suite", "structures"]))
+    (record,) = report["checks"]
+    return record
+
+
+@pytest.mark.parametrize("samples, forced, status, value", (
+    ([0.0, nan, 1e-12], None, "fail", nan),
+    ([nan], "flag", "fail", nan),
+    (nan, None, "fail", nan),
+    ([], None, "pass", 0.0),
+    ([], "flag", "pass", 0.0),
+    ([0.25, 0.5, 0.125], None, "pass", 0.5),
+    ([1.0], "flag", "flag", 1.0),
+    ([0.25, 1.0], None, "fail", 1.0),
+    (0.75, "flag", "flag", 0.75),
+))
+def test_status_follows_the_worst_sample(monkeypatch, capsys, samples, forced,
+                                         status, value):
+    record = _one_check(monkeypatch, samples, forced)
+    capsys.readouterr()
+    assert record["status"] == status
+    assert isnan(record["value"]) if isnan(value) else record["value"] == value
+
+
+def test_worst_is_the_running_max_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 5, 40):
+        scale = 10.0 ** rng.integers(-20, 5, n)
+        samples = (np.abs(rng.standard_normal(n)) * scale).tolist()
+        samples += [0.0, -0.0][: n % 3]
+        running = 0.0
+        for e in samples:
+            running = max(running, e)
+        assert repr(harness._worst(samples)) == repr(running)
+    assert repr(harness._worst([-0.0])) == "0.0"
+
+
+def test_a_nan_kernel_residual_fails_its_check(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "p0_residual",
+                        lambda s, x: Multivector(np.full(32, nan)))
+    report = run_suite(parse_config(["--suite", "kernels", "--seed", "7"]))
+    capsys.readouterr()
+    (record,) = [c for c in report["checks"] if c["id"] == "kernels.p0"]
+    assert record["status"] == "fail"
+    assert isnan(record["value"])

@@ -84,6 +84,34 @@ def test_mv_mul_rows_with_a_non_finite_left_operand(bad):
                 assert mv_mul_rows(A, B).tobytes() == _per_row(A, B).tobytes()
 
 
+@pytest.mark.parametrize("na, nb, loop_width", ((2, 32, 1), (32, 2, 32)),
+                         ids=("loop_over_A", "loop_over_B"))
+@pytest.mark.parametrize("rows_a, rows_b", ((1, 5), (5, 1)), ids=("1xn", "nx1"))
+def test_mv_mul_rows_broadcasts_a_one_row_operand(monkeypatch, na, nb,
+                                                   loop_width, rows_a, rows_b):
+    """A one-row operand meets every row of the other, on either loop:
+    the loop over A adds (n, 1) columns of A, the loop over B (n, 32)
+    gathers."""
+    widths = []
+    madd = clifford_core._madd
+
+    def recorded(acc, x, y):
+        widths.append(x.shape[1])
+        madd(acc, x, y)
+
+    monkeypatch.setattr(clifford_core, "_madd", recorded)
+    rng = np.random.default_rng(6)
+    A = np.zeros((rows_a, 32))
+    A[:, rng.choice(32, na, replace=False)] = rng.standard_normal((rows_a, na))
+    B = np.zeros((rows_b, 32))
+    B[:, rng.choice(32, nb, replace=False)] = rng.standard_normal((rows_b, nb))
+    B[-1, :3] = -0.0
+    out = mv_mul_rows(A, B)
+    assert out.shape == (5, 32)
+    assert out.tobytes() == _per_row(A, B).tobytes()
+    assert widths and set(widths) == {loop_width}
+
+
 def test_dense_times_two_blade_rows_makes_two_steps(monkeypatch):
     steps = []
     madd = clifford_core._madd

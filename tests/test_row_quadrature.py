@@ -131,6 +131,26 @@ def test_eval_slice_poly_rows_equals_eval_slice_poly_per_row(side):
             assert _same_rows(eval_slice_poly_rows(P, c.node_rows), want)
 
 
+def _reference_horner(P, x):
+    """The Multivector Horner loop that eval_slice_poly was before it became
+    the one-row case of eval_slice_poly_rows."""
+    acc = ZERO
+    for c in reversed(P.coeffs):
+        acc = (x * acc if P.side == LEFT else acc * x) + c
+    return acc
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_eval_slice_poly_equals_the_multivector_horner_loop(side):
+    rng = np.random.default_rng(6)
+    points = POINTS + CONTOURS[1].nodes[:4]
+    for P in (_rand_poly(rng, 8, side), SlicePolynomial([], side),
+              SlicePolynomial([ZERO, Multivector.scalar(-0.0)], side)):
+        for x in points:
+            assert (eval_slice_poly(P, x).c.tobytes()
+                    == _reference_horner(P, x).c.tobytes())
+
+
 # -- slice_integral --------------------------------------------------------------
 
 
