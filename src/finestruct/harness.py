@@ -46,7 +46,6 @@ from .kernels import (
     fine_kernel_series,
     fine_kernel_via_f5,
     p0_residual,
-    pseudo_kernel,
 )
 from .contour import circle, fine_integral_eval, word_eval
 from .op_calculus import (
@@ -225,23 +224,57 @@ def _value(kind, raw: str, where: str):
 # -- shared fixtures --------------------------------------------------------------
 
 
-def _rand_paravector(rng, scale: float) -> Multivector:
+def _rand_slots(rng, scale: float) -> list:
+    """The six paravector slots of a random paravector of norm scale."""
     v = rng.normal(size=6)
-    v *= scale / np.linalg.norm(v)
-    return Multivector.paravector(*v)
+    v *= scale / sqrt(v.dot(v))  # np.linalg.norm of a 1-D float array
+    return v.tolist()
+
+
+def _rand_paravector(rng, scale: float) -> Multivector:
+    return Multivector.paravector(*_rand_slots(rng, scale))
 
 
 def _pnorm(x: Multivector) -> float:
     return sqrt(paravector_norm_sq(x))
 
 
+def _q_norm(s: list, x: list) -> float:
+    """_pnorm(pseudo_kernel("commutative", s, x)) from the six paravector
+    slots of s and x, with the same float operations in the same order:
+    slot 0 of s * s summed from 0.0 over the blades in ascending order, as
+    in _gather_product, then - s0 (2 x0) + |x|^2; each vector slot
+    (0.0 + s0 si + si s0) - si (2 x0) + 0.0; then |.|^2 with ** 2, as in
+    paravector_norm_sq.  The algebraic |Q|^2 = a^2 + 4 (s0 - x0)^2 |s_|^2
+    differs from it in the last bits."""
+    s0, *sv = s
+    x0, *xv = x
+    two_x0 = 2.0 * x0
+    q0 = 0.0 + s0 * s0
+    for si in sv:
+        q0 += -si * si
+    q0 = (q0 - s0 * two_x0) + (x0 ** 2 + xv[0] ** 2 + xv[1] ** 2
+                                + xv[2] ** 2 + xv[3] ** 2 + xv[4] ** 2)
+    nq = q0 ** 2
+    for si in sv:
+        nq += (((0.0 + s0 * si) + si * s0) - si * two_x0 + 0.0) ** 2
+    return sqrt(nq)
+
+
 def _seed_kernel_pair(rng, q_lo: float = 0.5, q_hi: float = 1.0):
+    """A random pair (s, x) with q_lo < |Q(s, x)| <= q_hi: for each s, up
+    to 500 candidates x of norm 0.25 to 0.5 |s|.  A candidate is decided
+    on its slots (_q_norm); only the accepted pair becomes multivectors."""
+    if not q_lo < q_hi:
+        raise ValueError(f"empty window ({q_lo}, {q_hi}]")
     while True:
-        s = _rand_paravector(rng, rng.uniform(0.95, 1.3))
+        s = _rand_slots(rng, rng.uniform(0.95, 1.3))
+        s_mv = Multivector.paravector(*s)
+        s_norm = _pnorm(s_mv)
         for _ in range(500):
-            x = _rand_paravector(rng, rng.uniform(0.25, 0.5) * _pnorm(s))
-            if q_lo < _pnorm(pseudo_kernel("commutative", s, x)) <= q_hi:
-                return s, x
+            x = _rand_slots(rng, rng.uniform(0.25, 0.5) * s_norm)
+            if q_lo < _q_norm(s, x) <= q_hi:
+                return s_mv, Multivector.paravector(*x)
 
 
 def _rand_slice_poly(rng, degree: int, side: str = LEFT) -> SlicePolynomial:

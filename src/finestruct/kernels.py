@@ -27,7 +27,6 @@ from .clifford_core import (
     DIM,
     Multivector,
     ONE,
-    ZERO,
     axis_decompose,
     mv_mul_rows,
     paravector_conjugate,
@@ -270,14 +269,16 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
     Each image is the memoised integer table word_image(word, m), evaluated
     at x = x0 + r omega as alpha_m + omega beta_m: x_^b is reduced as in
     canonical_eval, the even-b terms summed into alpha_m and the odd-b terms
-    into beta_m.
+    into beta_m.  The N + 1 terms are one row product of the values
+    alpha_m + omega beta_m with the powers, summed row after row from +0.0.
     """
     if paravector_norm_sq(x) >= paravector_norm_sq(s):
         raise OutsideConvergenceDisk("series requires |x| < |s|")
     word = KIND_WORDS[kind]
     x0, r, omega = axis_decompose(x)
-    acc = ZERO
-    for m, s_pow in enumerate(_slice_inverse_powers(s, N)):
+    values = np.zeros((N + 1, DIM))
+    betas = np.zeros(N + 1)
+    for m in range(N + 1):
         alpha = beta = 0.0
         for (a, b), n in word_image(word, m).items():
             scalar = (x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
@@ -285,14 +286,15 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
                 alpha += scalar * n
             else:
                 beta += scalar * r * n
-        value = Multivector.scalar(alpha)
-        if omega is not None:
-            value = value + omega * beta
-        if side == LEFT:
-            acc = acc + value * s_pow
-        else:
-            acc = acc + s_pow * value
-    return acc
+        values[m, 0], betas[m] = alpha, beta
+    if omega is not None:
+        values = values + omega.c * betas[:, None]
+    powers = np.array([p.c for p in _slice_inverse_powers(s, N)])
+    if side == LEFT:
+        terms = mv_mul_rows(values, powers)
+    else:
+        terms = mv_mul_rows(powers, values)
+    return Multivector._wrap(np.add.reduce(terms, axis=0, initial=0.0))
 
 
 def fine_kernel_via_f5(kind: str, side: str, s: Multivector, x: Multivector) -> Multivector:

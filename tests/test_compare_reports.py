@@ -140,3 +140,85 @@ def test_sweep_rejects_an_unknown_suite_before_any_suite_runs(tmp_path,
     assert sweep_reports.main(["sweep_reports.py", "structures,nosuch",
                                "1", "2", str(out)]) == 2
     assert ran == [] and not out.exists()
+
+
+# -- the committed manifest of report digests ---------------------------------------
+
+_MANIFEST = _TOOLS / "report_digests.json"
+
+
+def _sweep_dir(tmp_path):
+    d = tmp_path / "sweep"
+    d.mkdir()
+    _write(d / "kernels_1.json", BASE)
+    _write(d / "kernels_2.json", BASE[:1])
+    return d
+
+
+def _manifest(tmp_path, d):
+    path = tmp_path / "digests.json"
+    assert compare_reports.main(["compare_reports.py", "--write-manifest",
+                                 str(d), str(path)]) == 0
+    return path
+
+
+def test_manifest_of_the_same_reports_exits_0(tmp_path, capsys):
+    d = _sweep_dir(tmp_path)
+    manifest = _manifest(tmp_path, d)
+    assert _run(manifest, d) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and "warning" not in err
+    assert "2 of 2 reports compared" in err
+
+
+def test_manifest_accepts_a_part_of_the_sweep(tmp_path, capsys):
+    d = _sweep_dir(tmp_path)
+    manifest = _manifest(tmp_path, d)
+    (d / "kernels_2.json").unlink()
+    assert _run(manifest, d) == 0
+    assert "1 of 2 reports compared" in capsys.readouterr().err
+
+
+def test_manifest_lists_reports_whose_bytes_differ_and_exits_1(tmp_path, capsys):
+    d = _sweep_dir(tmp_path)
+    manifest = _manifest(tmp_path, d)
+    _write(d / "kernels_2.json", [("a.one", "pass", -0.0)])
+    _write(d / "kernels_3.json", BASE)
+    assert _run(manifest, d) == 1
+    assert capsys.readouterr().out == ("kernels_2.json: bytes differ\n"
+                                       "kernels_3.json: not in the manifest\n")
+
+
+def test_manifest_against_an_empty_directory_exits_1(tmp_path):
+    manifest = _manifest(tmp_path, _sweep_dir(tmp_path))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert _run(manifest, empty) == 1
+
+
+def test_manifest_from_another_machine_is_warned_about(tmp_path, capsys):
+    d = _sweep_dir(tmp_path)
+    manifest = _manifest(tmp_path, d)
+    data = json.loads(manifest.read_text())
+    data["machine"]["numpy"] = "0.0"
+    manifest.write_text(json.dumps(data))
+    assert _run(manifest, d) == 0
+    assert "warning: manifest made on" in capsys.readouterr().err
+
+
+def test_committed_manifest_covers_six_suites_at_seeds_1_to_40():
+    data = json.loads(_MANIFEST.read_text())
+    assert set(data["machine"]) == {"python", "numpy", "blas", "arch"}
+    suites = ("identities", "kernels", "integrals", "calculus", "vekua",
+              "structures")
+    assert sorted(data["reports"]) == sorted(
+        f"{suite}_{seed}.json" for suite in suites for seed in range(1, 41))
+
+
+def test_exact_suites_match_the_committed_manifest(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert sweep_reports.main(["sweep_reports.py", "identities,structures",
+                               "1", "1", str(out)]) == 0
+    capsys.readouterr()
+    assert _run(_MANIFEST, out) == 0
+    assert capsys.readouterr().out == ""

@@ -27,7 +27,12 @@ from finestruct.fueter_ops import (
     KIND_WORDS,
     word_image,
 )
-from finestruct.harness import TAG_COMPLEMENTS, _rand_slice_poly, _rand_tuple
+from finestruct.harness import (
+    ALL_KINDS,
+    TAG_COMPLEMENTS,
+    _rand_slice_poly,
+    _rand_tuple,
+)
 from finestruct.kernels import cauchy_kernel, fine_kernel, fine_kernel_series
 from finestruct.op_calculus import (
     CliffordMatrix,
@@ -272,6 +277,17 @@ def test_fine_kernel_series_equals_the_reference_chain(kind, side):
               Multivector.scalar(-0.3)):
         got = fine_kernel_series(kind, side, s, x, 40)
         want = _reference_fine_kernel_series(kind, side, s, x, 40)
+        assert got.c.tobytes() == want.c.tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("side", SIDES)
+def test_fine_kernel_series_row_product_equals_the_reference_chain(kind, side):
+    s = Multivector.paravector(1.1, -0.2, 0.35, 0.0, -0.45, 0.3)
+    for x in (Multivector.paravector(-0.25, 0.3, -0.0, 0.2, 0.15, -0.1),
+              Multivector.scalar(0.4)):
+        got = fine_kernel_series(kind, side, s, x, 60)
+        want = _reference_fine_kernel_series(kind, side, s, x, 60)
         assert got.c.tobytes() == want.c.tobytes()
 
 

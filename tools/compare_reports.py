@@ -3,12 +3,26 @@ file name.  Prints every status flip and every moved value; exits 1 on a
 flip or when the check ids or file names differ, 0 otherwise.
 
     python tools/compare_reports.py OLD NEW
+    python tools/compare_reports.py MANIFEST NEW_DIR
+    python tools/compare_reports.py --write-manifest DIR MANIFEST
+
+A manifest (tools/report_digests.json) holds the sha256 of each report of a
+sweep and the Python, numpy and BLAS versions it ran on.  Against a
+manifest, every report of NEW_DIR must be in it with the same bytes; the
+reports whose bytes differ are listed, a different machine is warned about,
+and the exit is 1 on any mismatch or when no report is compared.  NEW_DIR
+may hold a part of the sweep.  To see which values moved, sweep the parent
+too and compare the two directories.
 """
 
+import hashlib
 import json
+import platform
 import struct
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 def moved(x, y) -> bool:
@@ -40,12 +54,60 @@ def compare(old: Path, new: Path, label: str) -> bool:
     return bad
 
 
+def machine() -> dict:
+    """The versions that decide the bits of a report."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "arch": platform.machine()}
+
+
+def digests(directory: Path) -> dict:
+    """sha256 of each report of directory, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.glob("*.json"))}
+
+
+def write_manifest(directory: Path, manifest: Path) -> None:
+    manifest.write_text(json.dumps({"machine": machine(),
+                                    "reports": digests(directory)},
+                                   indent=1, sort_keys=True) + "\n")
+
+
+def check_manifest(manifest: dict, new: Path) -> bool:
+    """Print the reports of new that are not in the manifest or whose bytes
+    differ from it; True on any such report or when there is none to
+    compare."""
+    here = machine()
+    if manifest["machine"] != here:
+        print(f"warning: manifest made on {manifest['machine']}, "
+              f"this machine is {here}", file=sys.stderr)
+    want = manifest["reports"]
+    got = digests(new)
+    bad = not got
+    for name, digest in got.items():
+        if name not in want:
+            print(f"{name}: not in the manifest")
+            bad = True
+        elif digest != want[name]:
+            print(f"{name}: bytes differ")
+            bad = True
+    print(f"{len(got)} of {len(want)} reports compared", file=sys.stderr)
+    return bad
+
+
 def main(argv) -> int:
+    if len(argv) == 4 and argv[1] == "--write-manifest":
+        write_manifest(Path(argv[2]), Path(argv[3]))
+        return 0
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
     old, new = Path(argv[1]), Path(argv[2])
     if not old.is_dir():
+        report = json.loads(old.read_text())
+        if "reports" in report:
+            return int(check_manifest(report, new))
         return int(compare(old, new, ""))
     names = [{p.name for p in d.glob("*.json")} for d in (old, new)]
     bad = False
