@@ -58,6 +58,7 @@ SIGN_TABLE, INDEX_TABLE = _build_tables()
 
 GRADE = np.array([bin(m).count("1") for m in range(DIM)])
 PARAVECTOR_MASKS = (0, 1, 2, 4, 8, 16)
+VECTOR_MASKS = np.array(PARAVECTOR_MASKS[1:])
 # True at the blades outside the paravector slots.
 _HIGHER = np.ones(DIM, dtype=bool)
 _HIGHER[list(PARAVECTOR_MASKS)] = False
@@ -302,18 +303,27 @@ def paravector_inverse(x: Multivector) -> Multivector:
     return Multivector._wrap(x.c * (CONJUGATE_SIGNS * (1.0 / n2)))
 
 
-def axis_decompose(x: Multivector):
-    """Split a paravector into (x0, r, omega) with x = x0 + r*omega.
+def axis_rows(X: np.ndarray):
+    """x = x0 + r*omega at each row of X (n, 32): x0 and r as lists of floats,
+    omega's vector slots as (n, 5) rows, zero where r = 0.  r is the ddot of
+    np.linalg.norm over C-contiguous rows; v /= r divides in place."""
+    v = X.take(VECTOR_MASKS, axis=1)
+    r = np.sqrt(np.vecdot(v, v))
+    rs = r.tolist()
+    if 0.0 in rs:
+        v[r == 0.0] = 0.0
+        r[r == 0.0] = 1.0
+    v /= r[:, None]
+    return X[:, 0].tolist(), rs, v
 
-    r = |x_| and omega is the unit 1-vector x_/r, or None when r = 0.
-    """
-    x0 = x[0]
-    vec = np.array([x.c[m] for m in PARAVECTOR_MASKS[1:]])
-    r = float(np.linalg.norm(vec))
-    if r == 0.0:
-        return x0, 0.0, None
-    omega = Multivector.paravector(0.0, *(vec / r))
-    return x0, r, omega
+
+def axis_decompose(x: Multivector):
+    """(x0, r, omega) with x = x0 + r*omega, the one-row case of axis_rows;
+    omega is the unit 1-vector, or None when r = 0."""
+    (x0,), (r,), v = axis_rows(x.c[None])
+    omega = np.zeros(DIM)
+    omega[VECTOR_MASKS] = v[0]
+    return x0, r, (Multivector._wrap(omega) if r else None)
 
 
 def embed(u: float, v: float, J: Multivector, atol: float = ATOL_DEFAULT) -> Multivector:

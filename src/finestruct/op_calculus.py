@@ -29,6 +29,7 @@ from .clifford_core import (
     LEFT_SIGNED,
     Multivector,
     PARAVECTOR_MASKS,
+    VECTOR_MASKS,
     axis_decompose,
     mv_mul_rows,
     paravector_conjugate,
@@ -230,7 +231,6 @@ def s_spectrum(T: OperatorTuple, atol: float = 1e-9) -> list:
 
 
 _PARAVECTOR_MASKS = list(PARAVECTOR_MASKS)
-_VECTOR_MASKS = _PARAVECTOR_MASKS[1:]
 
 
 def _stacked_solve(T: OperatorTuple, nodes) -> tuple:
@@ -266,7 +266,7 @@ def _paravector_slots(Wk: np.ndarray, units) -> np.ndarray:
     a[:, 0] = Wk.real
     rows = [n for n, J in enumerate(units) if J is not None]
     if rows:
-        J = np.array([units[n].c[_VECTOR_MASKS] for n in rows])
+        J = np.array([units[n].c[VECTOR_MASKS] for n in rows])
         a[rows, 1:] = J[:, :, None, None] * Wk.imag[rows, None]
     return a
 
@@ -373,7 +373,7 @@ def _axial_eval(image, T: OperatorTuple, powers) -> CliffordMatrix:
             A += term
     out = np.zeros((DIM, d, d))
     out[0] = A
-    out[_VECTOR_MASKS] = np.asarray(T.mats[1:]) @ B
+    out[VECTOR_MASKS] = np.asarray(T.mats[1:]) @ B
     return CliffordMatrix(out)
 
 

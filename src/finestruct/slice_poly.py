@@ -17,7 +17,9 @@ from .clifford_core import (
     Multivector,
     ZERO,
     ONE,
+    VECTOR_MASKS,
     axis_decompose,
+    axis_rows,
     close,
     mv_mul_rows,
     paravector_conjugate,
@@ -199,22 +201,19 @@ def canonical_eval_rows(C: CanonicalPoly, X: np.ndarray) -> np.ndarray:
     """Numeric substitution, with x_^2 reduced to -r^2, at each row x of
     X (n, 32).
 
-    (x0, r, omega) and the scalar factor of each term come from
-    axis_decompose and Python floats per point; the products with the
-    coefficients and the sum over terms, from +0.0 in term order, run on
-    all rows at once.  A point on the axis (omega None) adds +0.0 for each
-    odd term, which leaves its sum unchanged.
+    (x0, r, omega) come from axis_rows, and the scalar factor of each term
+    from Python floats per point; the products with the coefficients and
+    the sum over terms, from +0.0 in term order, run on all rows at once.
+    A point on the axis (omega zero) adds +0.0 for each odd term, which
+    leaves its sum unchanged.
     """
-    axes = [axis_decompose(Multivector(x)) for x in X]
-    rs = np.array([r for _, r, _ in axes])
+    x0s, rs, vectors = axis_rows(X)
     omega = np.zeros_like(X)
-    for row, (_, _, w) in enumerate(axes):
-        if w is not None:
-            omega[row] = w.c
+    omega[:, VECTOR_MASKS] = vectors
     acc = np.zeros_like(X)
     for (a, b), c in C.terms.items():
         scalar = np.array([(x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
-                           for x0, r, _ in axes])
+                           for x0, r in zip(x0s, rs)])
         if b % 2 == 0:
             # A real scalar times c, either side: 0.0 + scalar * c, as mv_mul.
             term = 0.0 + scalar[:, None] * c.c

@@ -1,6 +1,7 @@
 """Each shared rule has one copy: the space registry in fueter_ops, the
 contour node sum in op_calculus, the sphere guard and the slice-power chain in
-kernels, and the canonical evaluator in slice_poly.  These tests compare
+kernels, the axial decomposition in clifford_core, and the canonical
+evaluator in slice_poly.  These tests compare
 each with the copies it replaced, kept here as references, bit for bit."""
 
 import sys
@@ -11,9 +12,12 @@ import pytest
 
 from finestruct import contour
 from finestruct.clifford_core import (
+    PARAVECTOR_MASKS,
     ZERO,
     Multivector,
     axis_decompose,
+    axis_rows,
+    mv_mul_rows,
     paravector_inverse,
 )
 from finestruct.contour import Contour, circle, fine_integral_eval
@@ -291,6 +295,72 @@ def test_fine_kernel_series_row_product_equals_the_reference_chain(kind, side):
         assert got.c.tobytes() == want.c.tobytes()
 
 
+# -- the axial decomposition ---------------------------------------------------------
+
+
+def _reference_axis_decompose(x):
+    """axis_decompose as it was before it became the one-row case of
+    axis_rows."""
+    x0 = x[0]
+    vec = np.array([x.c[m] for m in PARAVECTOR_MASKS[1:]])
+    r = float(np.linalg.norm(vec))
+    if r == 0.0:
+        return x0, 0.0, None
+    omega = Multivector.paravector(0.0, *(vec / r))
+    return x0, r, omega
+
+
+def _axial_rows(n, rng):
+    """n rows over scales 1e-3 to 1e3, a tenth of them on the axis, with
+    -0.0 slots and vector slots near 1e-160, where r underflows."""
+    X = rng.normal(size=(n, 32)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    vector = list(PARAVECTOR_MASKS[1:])
+    X[np.ix_(rng.random(n) < 0.1, vector)] = 0.0
+    X[rng.random((n, 32)) < 0.05] = -0.0
+    X[:40, vector] *= 10.0 ** rng.uniform(-165, -155, size=(40, 1))
+    # r = 0 with nonzero slots (their squares underflow), and r subnormal.
+    X[40:45, vector] = [1e-170, -0.0, 0.0, -2e-170, 0.0]
+    X[45:50, vector] = [1e-170, -0.0, 0.0, 3e-161, 0.0]
+    return X
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_axis_rows_equals_the_reference_decomposition():
+    X = _axial_rows(10_000, np.random.default_rng(11))
+    X.setflags(write=False)
+    c = circle(0.3, 1.7, Multivector.basis(4), 64)
+    for rows in (X, X[::2], np.asfortranarray(X), c.node_rows):
+        ref = [_reference_axis_decompose(Multivector(x)) for x in rows]
+        x0, r, omega = axis_rows(rows)
+        assert _hex(x0) == _hex(a[0] for a in ref)
+        assert _hex(r) == _hex(a[1] for a in ref)
+        want = np.zeros((len(rows), 5))
+        for row, (_, _, w) in enumerate(ref):
+            if w is not None:
+                want[row] = w.c[list(PARAVECTOR_MASKS[1:])]
+        assert omega.shape == (len(rows), 5)
+        assert omega.tobytes() == want.tobytes()
+    assert [_reference_axis_decompose(Multivector(x))[1] == 0.0
+            for x in X[40:50]] == [True] * 5 + [False] * 5
+
+
+def test_axis_decompose_is_the_one_row_case():
+    X = _axial_rows(2_000, np.random.default_rng(12))
+    on_axis = 0
+    for x in map(Multivector, X):
+        got, want = axis_decompose(x), _reference_axis_decompose(x)
+        assert _hex(got[:2]) == _hex(want[:2])
+        if want[2] is None:
+            assert got[2] is None
+            on_axis += 1
+        else:
+            assert got[2].c.tobytes() == want[2].c.tobytes()
+    assert on_axis > 100
+
+
 # -- the canonical evaluator -------------------------------------------------------
 
 
@@ -308,6 +378,30 @@ def _reference_canonical_eval(C, x):
                 continue
             factor = omega * (scalar * r)
         acc = acc + (factor * c if C.side == LEFT else c * factor)
+    return acc
+
+
+def _reference_canonical_eval_rows(C, X):
+    """canonical_eval_rows as it was before axis_rows: one
+    axis_decompose(Multivector(x)) per row."""
+    axes = [_reference_axis_decompose(Multivector(x)) for x in X]
+    rs = np.array([r for _, r, _ in axes])
+    omega = np.zeros_like(X)
+    for row, (_, _, w) in enumerate(axes):
+        if w is not None:
+            omega[row] = w.c
+    acc = np.zeros_like(X)
+    for (a, b), c in C.terms.items():
+        scalar = np.array([(x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
+                           for x0, r, _ in axes])
+        if b % 2 == 0:
+            term = 0.0 + scalar[:, None] * c.c
+        else:
+            factor = omega * (scalar * rs)[:, None]
+            cs = np.broadcast_to(c.c, X.shape)
+            term = (mv_mul_rows(factor, cs) if C.side == LEFT
+                    else mv_mul_rows(cs, factor))
+        acc = acc + term
     return acc
 
 
@@ -343,3 +437,8 @@ def test_canonical_eval_equals_the_reference_scalar_body(side):
         want = [_reference_canonical_eval(C, x).c.tobytes() for x in points]
         assert [canonical_eval(C, x).c.tobytes() for x in points] == want
         assert [row.tobytes() for row in canonical_eval_rows(C, X)] == want
+        paravectors = _axial_rows(500, rng)[:, list(PARAVECTOR_MASKS)]
+        Y = np.zeros((500, 32))
+        Y[:, list(PARAVECTOR_MASKS)] = paravectors
+        assert (canonical_eval_rows(C, Y).tobytes()
+                == _reference_canonical_eval_rows(C, Y).tobytes())
