@@ -60,6 +60,7 @@ from .op_calculus import (
     poly_calculus_integral,
     product_rule_residual,
     s_spectrum,
+    spectral_circle,
 )
 from .slice_poly import (
     LEFT,
@@ -469,7 +470,7 @@ def _suite_calculus(cfg, tol):
     yield ("calculus.spectrum", errors, tol["calculus.spectrum"], None)
 
     T, _ = _rand_tuple(rng, d)
-    c = circle(0.0, 1.25 * T.norm_bound(), e1, N)
+    c = spectral_circle(T, e1, N, 1.25)
     for kind in ("SC",) + FINE_KINDS + ("F5",):
         errors = []
         for side in (LEFT, RIGHT):
@@ -507,7 +508,7 @@ def _suite_calculus(cfg, tol):
     errors = []
     for _ in range(3):
         Tk, _ = _rand_tuple(rng, 3, 0.3)
-        ck = circle(0.0, 1.6 * Tk.norm_bound(), e1, N)
+        ck = spectral_circle(Tk, e1, N, 1.6)
         f = SlicePolynomial([rng.normal() for _ in range(4)], LEFT)
         g = _rand_slice_poly(rng, 4, LEFT)
         errors.append(product_rule_residual(f, g, Tk, ck).norm_inf())
@@ -534,8 +535,8 @@ def _suite_calculus(cfg, tol):
     yield ("calculus.tcost.two_component",
            _two_component_tcost(rng, N), tol["calculus.tcost"], None)
 
-    cj = circle(0.0, 1.25 * T.norm_bound(), e3, N)
-    ck2 = circle(0.0, 1.6 * T.norm_bound(), e1, N)
+    cj = spectral_circle(T, e3, N, 1.25)
+    ck2 = spectral_circle(T, e1, N, 1.6)
     P = _rand_slice_poly(rng, cfg["degree_cap"], LEFT)
     base = poly_calculus_integral("F5", LEFT, P, T, c)
     yield ("calculus.independence",

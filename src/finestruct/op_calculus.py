@@ -36,6 +36,7 @@ from .clifford_core import (
     paravector_inverse,
     paravector_norm_sq,
 )
+from .contour import circle
 from .errors import (
     EigensolverFailure,
     NotIntrinsic,
@@ -228,6 +229,16 @@ def s_spectrum(T: OperatorTuple, atol: float = 1e-9) -> list:
         else:
             spheres.append((u, v))
     return sorted(spheres)
+
+
+def spectral_circle(T: OperatorTuple, J: Multivector, N: int, margin: float):
+    """The N-node circle about 0 in the slice of J with radius
+    margin * (rho + 0.2), rho the largest |(u, v)| over T's spectral
+    spheres.  It encloses the S-spectrum; T.norm_bound() can exceed rho by
+    orders of magnitude, and a circle of that size loses the contour sum to
+    cancellation."""
+    rho = max(hypot(u, v) for u, v in T.spectrum())
+    return circle(0.0, margin * (rho + 0.2), J, N)
 
 
 _PARAVECTOR_MASKS = list(PARAVECTOR_MASKS)

@@ -1,3 +1,5 @@
+from math import hypot
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from finestruct.op_calculus import (
     product_rule_residual,
     q_resolvent,
     s_spectrum,
+    spectral_circle,
 )
 from finestruct.slice_poly import LEFT, RIGHT, SlicePolynomial
 
@@ -220,6 +223,25 @@ def test_integral_matches_exact_substitution(kind):
         P = _rand_slice_poly(rng, 5, side)
         assert (poly_calculus_integral(kind, side, P, T, c)
                 - poly_calculus_exact(kind, side, P, T)).norm_inf() < 1e-9
+
+
+def test_spectral_circle_encloses_the_s_spectrum_at_the_stated_radius():
+    rng = np.random.default_rng(9)
+    E3 = Multivector.basis(4)
+    for d in (3, 4):
+        T, _ = _rand_tuple(rng, d)
+        rho = max(hypot(u, v) for u, v in T.spectrum())
+        for J, margin in ((E3, 1.25), (E1, 1.6)):
+            c = spectral_circle(T, J, 64, margin)
+            radius = margin * (rho + 0.2)
+            assert (c.center, c.radius) == (0.0, radius)
+            want = circle(0.0, radius, J, 64)
+            assert c.node_rows.tobytes() == want.node_rows.tobytes()
+            assert c.dsj_rows.tobytes() == want.dsj_rows.tobytes()
+            for u, v in T.spectrum():
+                assert hypot(u, v) + 0.2 * margin <= radius
+        # The circle is sized by the spectrum, not by the norm bound.
+        assert radius < T.norm_bound()
 
 
 def test_spectrum_enclosure_guard():
