@@ -121,7 +121,7 @@ TOL_DEFAULTS = {
 # -- configuration ---------------------------------------------------------------
 
 
-def parse_config(argv, file_path: str | None = None) -> dict:
+def parse_config(argv) -> dict:
     """CLI flags override file values override defaults."""
     parser = argparse.ArgumentParser(
         prog="verify", description="Run verification suites.", add_help=True)
@@ -151,7 +151,7 @@ def parse_config(argv, file_path: str | None = None) -> dict:
     cfg = dict(DEFAULTS)
     cfg["tol"] = dict(TOL_DEFAULTS)
 
-    path = single("config") or file_path
+    path = single("config")
     if path:
         cfg.update(_read_config_file(path))
 

@@ -76,6 +76,26 @@ def test_status_flip_exits_1(tmp_path, capsys):
     assert "a.one: FLIP pass -> fail" in capsys.readouterr().out
 
 
+def test_failing_checks_and_flips_are_counted_on_stderr(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    _write(old / "seed1.json", [("a.one", "fail", 2.0), ("b.two", "pass", 0.1),
+                                ("c.three", "fail", 3.0)])
+    _write(new / "seed1.json", [("a.one", "pass", 0.5), ("b.two", "fail", 2.0),
+                                ("c.three", "fail", 4.0)])
+    _write(old / "seed2.json", [("a.one", "fail", 2.0), ("b.two", "flag", 0.5)])
+    _write(new / "seed2.json", [("a.one", "pass", 0.5), ("b.two", "pass", 0.1)])
+    assert _run(old, new) == 1
+    assert capsys.readouterr().err == (
+        "failing checks: 3 in OLD, 2 in NEW; flips: 1 pass -> fail, "
+        "2 fail -> pass\n")
+    assert _run(old / "seed2.json", old / "seed2.json") == 0
+    assert capsys.readouterr().err == (
+        "failing checks: 1 in OLD, 1 in NEW; flips: 0 pass -> fail, "
+        "0 fail -> pass\n")
+
+
 def test_id_in_one_report_only_exits_1(tmp_path, capsys):
     old = _write(tmp_path / "old.json", BASE)
     new = _write(tmp_path / "new.json", BASE[:1])

@@ -1,6 +1,8 @@
 """Compare two `verify` JSON reports, or two directories of them matched by
-file name.  Prints every status flip and every moved value; exits 1 on a
-flip or when the check ids or file names differ, 0 otherwise.
+file name.  Prints every status flip and every moved value, and on stderr
+how many checks fail on each side and how many flip pass -> fail and
+fail -> pass; exits 1 on a flip or when the check ids or file names differ,
+0 otherwise.
 
     python tools/compare_reports.py OLD NEW
     python tools/compare_reports.py MANIFEST NEW_DIR
@@ -20,6 +22,7 @@ import json
 import platform
 import struct
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +37,13 @@ def moved(x, y) -> bool:
     return x != y
 
 
-def compare(old: Path, new: Path, label: str) -> bool:
-    """Print the differences of one pair of reports; True on a flip or an
-    id mismatch."""
+def compare(old: Path, new: Path, label: str, tally: Counter) -> bool:
+    """Print the differences of one pair of reports and add its failing
+    checks and flips to tally; True on a flip or an id mismatch."""
     a, b = ({c["id"]: c for c in json.loads(p.read_text())["checks"]}
             for p in (old, new))
+    tally["old"] += sum(c["status"] == "fail" for c in a.values())
+    tally["new"] += sum(c["status"] == "fail" for c in b.values())
     bad = False
     for cid in sorted(a.keys() ^ b.keys()):
         print(f"{label}{cid}: only in {old if cid in a else new}")
@@ -47,6 +52,7 @@ def compare(old: Path, new: Path, label: str) -> bool:
         x, y = a[cid], b[cid]
         move = f"{x['value']!r} -> {y['value']!r}"
         if x["status"] != y["status"]:
+            tally[f"{x['status']} -> {y['status']}"] += 1
             print(f"{label}{cid}: FLIP {x['status']} -> {y['status']}, {move}")
             bad = True
         elif moved(x["value"], y["value"]):
@@ -104,18 +110,23 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     old, new = Path(argv[1]), Path(argv[2])
+    tally = Counter()
     if not old.is_dir():
         report = json.loads(old.read_text())
         if "reports" in report:
             return int(check_manifest(report, new))
-        return int(compare(old, new, ""))
-    names = [{p.name for p in d.glob("*.json")} for d in (old, new)]
-    bad = False
-    for name in sorted(names[0] ^ names[1]):
-        print(f"{name}: in one directory only")
-        bad = True
-    for name in sorted(names[0] & names[1]):
-        bad |= compare(old / name, new / name, f"{name}: ")
+        bad = compare(old, new, "", tally)
+    else:
+        names = [{p.name for p in d.glob("*.json")} for d in (old, new)]
+        bad = False
+        for name in sorted(names[0] ^ names[1]):
+            print(f"{name}: in one directory only")
+            bad = True
+        for name in sorted(names[0] & names[1]):
+            bad |= compare(old / name, new / name, f"{name}: ", tally)
+    print(f"failing checks: {tally['old']} in OLD, {tally['new']} in NEW; "
+          f"flips: {tally['pass -> fail']} pass -> fail, "
+          f"{tally['fail -> pass']} fail -> pass", file=sys.stderr)
     return int(bad)
 
 
