@@ -5,12 +5,14 @@ fine-structure space classification and factorization enumeration.
 The operators act exactly on the canonical form: the scalar derivative acts
 on x0^a, and the radial part of D acts on x_^b by -b x_^(b-1) for even b and
 -(b+4) x_^(b-1) for odd b.  D = d0 + radial, Dbar = d0 - radial, and Delta is
-the composition D(Dbar(.)).  On a monomial x^m the same rules run on Python
-integers (word_image), so its images are exact at every degree.
+the composition D(Dbar(.)).  One letter loop (_letter) applies these rules
+to Clifford coefficients (apply_operator) and, on a monomial x^m, to Python
+integers (word_image), so the monomial images are exact at every degree.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
@@ -87,39 +89,48 @@ KIND_ORDER = {kind: sum(word_degrees(word)) for kind, word in KIND_WORDS.items()
 # -- exact operator action on the canonical form ------------------------------
 
 
-def _d0(C: CanonicalPoly) -> CanonicalPoly:
-    out = CanonicalPoly(side=C.side)
-    for (a, b), c in C.terms.items():
-        if a > 0:
-            out._add_term(a - 1, b, c * a)
-    return out
-
-
 def _radial_factor(b: int) -> int:
     """The radial part of D on x_^b is this factor times x_^(b-1)."""
     return -b if b % 2 == 0 else -(b + 4)
 
 
-def _radial(C: CanonicalPoly) -> CanonicalPoly:
-    out = CanonicalPoly(side=C.side)
-    for (a, b), c in C.terms.items():
-        if b > 0:
-            out._add_term(a, b - 1, c * _radial_factor(b))
+# (d0 weight, radial weight) of each first-order letter.
+_LETTER_WEIGHTS = {"d0": (1, 0), "Dradial": (0, 1), "D": (1, 1), "Dbar": (1, -1)}
+
+
+@lru_cache(maxsize=None)
+def _key(a: int, b: int) -> tuple[int, int]:
+    """One shared (a, b) tuple per exponent pair, which keeps the memoised
+    tables small."""
+    return a, b
+
+
+def _letter(letter: str, terms, is_zero) -> dict:
+    """One letter on a canonical image {(a, b): c} whose c are Python ints
+    or Multivectors.  The d0 part {(a-1, b): c a} comes first; each radial
+    term c (w _radial_factor(b)) is then added in the input's order, and a
+    sum that cancels (is_zero) is dropped, as _accumulate does."""
+    if letter == "Delta":
+        return _letter("D", _letter("Dbar", terms, is_zero), is_zero)
+    if letter not in _LETTER_WEIGHTS:
+        raise ValueError(f"unknown operator {letter!r}")
+    d0, w = _LETTER_WEIGHTS[letter]
+    items = terms.items()
+    out = {_key(a - 1, b): c * a for (a, b), c in items if d0 and a > 0}
+    for (a, b), c in items:
+        if w and b > 0:
+            key, term = _key(a, b - 1), c * (w * _radial_factor(b))
+            cur = out.get(key)
+            new = term if cur is None else cur + term
+            if is_zero(new):
+                out.pop(key, None)
+            else:
+                out[key] = new
     return out
 
 
 def apply_operator(op: str, C: CanonicalPoly) -> CanonicalPoly:
-    if op == "d0":
-        return _d0(C)
-    if op == "Dradial":
-        return _radial(C)
-    if op == "D":
-        return _d0(C) + _radial(C)
-    if op == "Dbar":
-        return _d0(C) - _radial(C)
-    if op == "Delta":
-        return apply_operator("D", apply_operator("Dbar", C))
-    raise ValueError(f"unknown operator {op!r}")
+    return CanonicalPoly(_letter(op, C.terms, Multivector.is_zero), C.side)
 
 
 def apply_word(word, P) -> CanonicalPoly:
@@ -149,32 +160,11 @@ def apply_word(word, P) -> CanonicalPoly:
 # -- exact integer images of monomials -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _key(a: int, b: int) -> tuple[int, int]:
-    """One shared (a, b) tuple per exponent pair, which keeps the memoised
-    tables small."""
-    return a, b
-
-
 def _int_letter(letter: str, terms) -> dict:
-    """One letter on an integer canonical image {(a, b): n}, by the rules of
-    _d0 and _radial; terms are added as in CanonicalPoly.__add__/__sub__,
-    so the result has their insertion order and no zero entries."""
-    if letter == "Delta":
-        return _int_letter("D", _int_letter("Dbar", terms))
-    if letter not in ("D", "Dbar"):
+    """One letter on an integer canonical image {(a, b): n}, by _letter."""
+    if letter not in ("D", "Dbar", "Delta"):
         raise ValueError(f"unknown letter {letter!r}")
-    sign = 1 if letter == "D" else -1
-    out = {_key(a - 1, b): n * a for (a, b), n in terms.items() if a > 0}
-    for (a, b), n in terms.items():
-        if b > 0:
-            key = _key(a, b - 1)
-            new = out.get(key, 0) + sign * n * _radial_factor(b)
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
+    return _letter(letter, terms, operator.not_)
 
 
 @lru_cache(maxsize=None)

@@ -235,6 +235,19 @@ def test_committed_manifest_covers_six_suites_at_seeds_1_to_40():
         f"{suite}_{seed}.json" for suite in suites for seed in range(1, 41))
 
 
+def test_sweep_all_writes_one_report_per_suite_of_the_manifest(tmp_path,
+                                                              monkeypatch):
+    # Stub suites: only the file names are checked, against the committed
+    # manifest, which holds no combined all_<seed>.json.
+    monkeypatch.setattr(sweep_reports, "run_suite", lambda cfg: cfg["suite"])
+    monkeypatch.setattr(sweep_reports, "emit", lambda suite, fmt: b"{}")
+    out = tmp_path / "sweep"
+    assert sweep_reports.main(["sweep_reports.py", "all", "1", "40",
+                               str(out)]) == 0
+    data = json.loads(_MANIFEST.read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted(data["reports"])
+
+
 def test_exact_suites_match_the_committed_manifest(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert sweep_reports.main(["sweep_reports.py", "identities,structures",

@@ -178,6 +178,21 @@ def test_s_spectrum_matches_ground_truth():
             assert abs(u - tu) < 1e-10 and abs(v - tv) < 1e-10
 
 
+def test_s_spectrum_keeps_spheres_closer_than_a_loose_tolerance():
+    # T0 and T1 are similar, by the same integer U, to diagonal matrices,
+    # so they commute exactly.  The two spheres are 2^-20 apart in u: far
+    # above the 1e-8 relative dedupe, far below an absolute 1e-3.
+    U = np.array([[1.0, 1.0], [0.0, 1.0]])
+    U_inv = np.array([[1.0, -1.0], [0.0, 1.0]])
+    u1 = 0.25 + 2.0 ** -20
+    mats = [U @ np.diag([0.25, u1]) @ U_inv, U @ np.diag([0.5, 0.5]) @ U_inv]
+    mats += [np.zeros((2, 2))] * 4
+    spheres = s_spectrum(OperatorTuple(mats))
+    assert len(spheres) == 2
+    for (u, v), (tu, tv) in zip(spheres, [(0.25, 0.5), (u1, 0.5)]):
+        assert abs(u - tu) < 1e-15 and abs(v - tv) < 1e-15
+
+
 def test_q_resolvent_inverts():
     rng = np.random.default_rng(3)
     T, _ = _rand_tuple(rng, 3)

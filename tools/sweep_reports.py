@@ -1,7 +1,9 @@
 """Write one `verify` JSON report per suite and seed, named
 `<suite>_<seed>.json`, for the seeds FIRST to LAST (inclusive), at the
-default configuration.  SUITES is one suite or a comma-separated list, such
-as `identities,kernels,structures`.
+default configuration.  SUITES is one suite, a comma-separated list such
+as `identities,kernels,structures`, or `all` for each suite of
+`harness.SUITES` in turn (one report per suite, as the manifest
+tools/report_digests.json holds them).
 
     PYTHONPATH=src python tools/sweep_reports.py SUITES FIRST LAST OUTDIR
 
@@ -14,14 +16,15 @@ import sys
 from pathlib import Path
 
 from finestruct.errors import EngineError
-from finestruct.harness import emit, parse_config, run_suite
+from finestruct.harness import SUITES, emit, parse_config, run_suite
 
 
 def sweep(suites: str, first: int, last: int, outdir: Path) -> None:
-    """Run each suite of the comma-separated list at each seed and write its
-    report into outdir."""
+    """Run each suite of the comma-separated list (or of SUITES, for "all")
+    at each seed and write its report into outdir."""
+    names = SUITES if suites == "all" else suites.split(",")
     cfgs = [parse_config(["--suite", suite, "--seed", str(seed)])
-            for suite in suites.split(",") for seed in range(first, last + 1)]
+            for suite in names for seed in range(first, last + 1)]
     outdir.mkdir(parents=True, exist_ok=True)
     for cfg in cfgs:
         report = emit(run_suite(cfg), cfg["format"])
