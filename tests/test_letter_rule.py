@@ -83,11 +83,11 @@ def _cancelling_poly(op, side):
 @pytest.mark.parametrize("op", ("D", "Dbar", "Delta"))
 def test_cancelling_key_is_dropped_as_in_the_reference(op, side):
     C = _cancelling_poly(op, side)
+    got = apply_operator(op, C)
     if op == "Delta":
         assert (1, 1) not in apply_operator("Dbar", C).terms
     else:
-        assert (0, 0) not in apply_operator(op, C).terms
-    got = apply_operator(op, C)
+        assert (0, 0) not in got.terms
     assert got.terms
     assert _bytes(got) == _bytes(_ref_apply(op, C))
 
