@@ -130,7 +130,11 @@ def _letter(letter: str, terms, is_zero) -> dict:
 
 
 def apply_operator(op: str, C: CanonicalPoly) -> CanonicalPoly:
-    return CanonicalPoly(_letter(op, C.terms, Multivector.is_zero), C.side)
+    out = CanonicalPoly(side=C.side)
+    # _letter's dict has int keys and no zero value, so it is stored as is
+    # rather than re-added term by term.
+    out.terms = _letter(op, C.terms, Multivector.is_zero)
+    return out
 
 
 def apply_word(word, P) -> CanonicalPoly:

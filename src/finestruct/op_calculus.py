@@ -6,8 +6,9 @@ Operators act on V = R_5 (x) R^d and are stored densely as a (32, d, d)
 array of blade coefficient matrices.  Resolvents reduce to complex d x d
 solves in the complexification of the slice plane of s (the pseudo resolvent
 has real matrix coefficients), then re-expand over the blades of J; the
-nodes of one contour share one stacked solve, and the kernels and terms of
-the contour sum are stacked products on blocks of nodes (_mul_stack).
+nodes of one contour share one stacked solve, which every integral of a
+batch on that contour reads, and the kernels and terms of the contour sum
+are stacked products on blocks of nodes (_mul_stack).
 
 Operator words are evaluated in axial form.  The image of x^m under a word
 is the exact integer table word_image (n x0^a x_^b); substituting x0 -> T0
@@ -308,14 +309,17 @@ def fine_resolvent(kind: str, side: str, T: OperatorTuple,
                    s: Multivector) -> CliffordMatrix:
     """Resolvent operator of the fine structure: the kernel-formula table
     with x -> T ("SC" is the Cauchy row), factor order as printed."""
-    return CliffordMatrix(next(_resolvent_blocks(kind, side, T, [s]))[0])
+    blocks = _resolvent_blocks(kind, side, T, [s], _stacked_solve(T, [s]))
+    return CliffordMatrix(next(blocks)[0])
 
 
 def resolvent_rows(kind: str, side: str, T: OperatorTuple, contour) -> list:
     """fine_resolvent(kind, side, T, s) at every node s of the contour, bit
     for bit, from one stacked solve of all its nodes."""
+    nodes = contour.nodes
     return [CliffordMatrix(K) for block in
-            _resolvent_blocks(kind, side, T, contour.nodes) for K in block]
+            _resolvent_blocks(kind, side, T, nodes, _stacked_solve(T, nodes))
+            for K in block]
 
 
 # Nodes per stacked product: a block's left-regular matrices take
@@ -323,14 +327,15 @@ def resolvent_rows(kind: str, side: str, T: OperatorTuple, contour) -> list:
 _BLOCK = 8
 
 
-def _resolvent_blocks(kind: str, side: str, T: OperatorTuple, nodes):
+def _resolvent_blocks(kind: str, side: str, T: OperatorTuple, nodes, solve):
     """The table row of kind at the nodes, as one (n, 32, d, d) stack per
     block of _BLOCK nodes.  Every power Q^(-k) that the row needs is a
-    stacked matrix_power of one stacked inverse of all the nodes, and
+    stacked matrix_power of solve, the _stacked_solve(T, nodes) that the
+    caller made (one per contour, shared by every row built on it), and
     kernels._table_stack builds the row from s I and T with stacked
     products."""
     kind = _table_kind(kind)
-    W, units = _stacked_solve(T, nodes)
+    W, units = solve
     powers = {k: _paravector_slots(np.linalg.matrix_power(W, k), units)
               for k in {k for _, _, k, _ in KERNEL_TERMS.get(kind, ())}}
     Tc = T.as_clifford().a[None]
@@ -428,42 +433,71 @@ def poly_calculus_integral(kind: str, side: str, P, T: OperatorTuple,
                            c) -> CliffordMatrix:
     """(1/2π)∫ S⁻¹_kind(s,T) ds_J f(s) over one contour or several
     (disconnected spectrum).  P is a slice polynomial, evaluated on each
-    contour's node rows at once, or a callable s -> value, called per node."""
+    contour's node rows at once, or a callable s -> value, called per node:
+    the one-job case of poly_calculus_integrals."""
+    return poly_calculus_integrals(T, c, [(kind, side, P)])[0]
+
+
+def poly_calculus_integrals(T: OperatorTuple, c, jobs) -> list:
+    """[poly_calculus_integral(kind, side, P, T, c) for (kind, side, P) in
+    jobs], bit for bit, from one stacked solve per contour and one kernel
+    set per (table row, side) and contour, which node_sum shares among the
+    jobs of that row and side.  Nothing outlives the call."""
     _check_enclosed(T, c)
-    acc = np.zeros((DIM, T.d, T.d))
-    for ci in _contours_of(c):
-        if callable(P):
-            fvals = np.array([P(s).c for s in ci.nodes])
-        else:
-            fvals = eval_slice_poly_rows(P, ci.node_rows)
-        kernels = _resolvent_blocks(kind, side, T, ci.nodes)
-        acc = node_sum(acc, kernels, ci, fvals, side)
-    return CliffordMatrix(acc).scale(1.0 / (2.0 * pi))
+    if not jobs:
+        return []
+    contours = _contours_of(c)
+    solves = [_stacked_solve(T, ci.nodes) for ci in contours]
+    groups = {}
+    for i, (kind, side, _) in enumerate(jobs):
+        groups.setdefault((_table_kind(kind), side), []).append(i)
+    accs = [np.zeros((DIM, T.d, T.d)) for _ in jobs]
+    # Rows outermost, so only one row's powers Q^(-k) are held at a time.
+    for (kind, side), members in groups.items():
+        for ci, solve in zip(contours, solves):
+            sums = node_sum([accs[i] for i in members],
+                            _resolvent_blocks(kind, side, T, ci.nodes, solve),
+                            ci, [_integrand_rows(jobs[i][2], ci)
+                                 for i in members], side)
+            for i, acc in zip(members, sums):
+                accs[i] = acc
+    return [CliffordMatrix(acc).scale(1.0 / (2.0 * pi)) for acc in accs]
 
 
-def node_sum(acc: np.ndarray, kernels, c, fvals: np.ndarray,
-             side: str = LEFT) -> np.ndarray:
-    """acc + Σ (K_i·dsJ_i)·f_i (Left) or (f_i·dsJ_i)·K_i (Right) over the
-    nodes of contour c, added node after node, as (32, d, d) arrays.
+def node_sum(accs: list, kernels, c, fvals: list, side: str = LEFT) -> list:
+    """Each acc + Σ (K_i·dsJ_i)·f_i (Left) or (f_i·dsJ_i)·K_i (Right) over
+    the nodes of contour c, with the f_i of its own fvals entry, added node
+    after node, as (32, d, d) arrays.
 
     kernels yields the (n, 32, d, d) operator kernels of each block of
-    _BLOCK nodes, and fvals holds the (N, 32) multivector rows f_i.  The
-    terms of a block are stacked products; the multivector product
-    f_i·dsJ_i is mv_mul_rows, which equals mv_mul row by row."""
-    d = acc.shape[-1]
+    _BLOCK nodes, shared by every sum, and each fvals entry holds (N, 32)
+    multivector rows f_i.  The terms of a block are stacked products, and
+    K·dsJ is formed once per block; the multivector product f_i·dsJ_i is
+    mv_mul_rows, which equals mv_mul row by row."""
+    accs = list(accs)
+    d = accs[0].shape[-1]
     w = c.dsj_rows
     if side != LEFT:
-        fw = mv_mul_rows(fvals, w)
+        fvals = [mv_mul_rows(f, w) for f in fvals]
     for lo, K in zip(range(0, len(w), _BLOCK), kernels):
         block = slice(lo, lo + len(K))
         if side == LEFT:
-            terms = _mul_stack(_mul_stack(K, _expand(w[block], d)),
-                               _expand(fvals[block], d))
-        else:
-            terms = _mul_stack(_expand(fw[block], d), K)
-        # Reducing over axis 0 adds whole operators one after another.
-        acc = np.add.reduce(np.concatenate((acc[None], terms)), axis=0)
-    return acc
+            KW = _mul_stack(K, _expand(w[block], d))
+        for j, f in enumerate(fvals):
+            F = _expand(f[block], d)
+            terms = _mul_stack(KW, F) if side == LEFT else _mul_stack(F, K)
+            # Reducing over axis 0 adds whole operators one after another.
+            accs[j] = np.add.reduce(np.concatenate((accs[j][None], terms)),
+                                    axis=0)
+    return accs
+
+
+def _integrand_rows(P, c) -> np.ndarray:
+    """The (N, 32) rows of P at the nodes of contour c: a slice polynomial
+    on all node rows at once, a callable s -> value per node."""
+    if callable(P):
+        return np.array([P(s).c for s in c.nodes])
+    return eval_slice_poly_rows(P, c.node_rows)
 
 
 def poly_calculus_exact(kind: str, side: str, P: SlicePolynomial,
@@ -520,18 +554,13 @@ def product_rule_residual(f: SlicePolynomial, g: SlicePolynomial,
         for j, b in enumerate(g.coeffs):
             prod[i + j] = prod[i + j] + b * a
     fg = SlicePolynomial(prod, LEFT)
-
-    def right(kind, P):
-        return poly_calculus_integral(kind, RIGHT,
-                                      SlicePolynomial(P.coeffs, RIGHT), T, c)
-
-    def left(kind, P):
-        return poly_calculus_integral(kind, LEFT, P, T, c)
-
-    lhs = left("F5", fg)
-    rhs = (right("F5", f) * left("SC", g)
-           + right("SC", f) * left("F5", g)
-           + right("Delta", f) * left("Delta", g)
-           - right("DeltaD", f) * left("D", g)
-           - right("D", f) * left("DeltaD", g))
-    return lhs - rhs
+    f_right = SlicePolynomial(f.coeffs, RIGHT)
+    # The (kind of f, kind of g) of each right-hand term, in the order above.
+    pairs = (("F5", "SC"), ("SC", "F5"), ("Delta", "Delta"),
+             ("DeltaD", "D"), ("D", "DeltaD"))
+    jobs = [("F5", LEFT, fg)]
+    for kf, kg in pairs:
+        jobs += [(kf, RIGHT, f_right), (kg, LEFT, g)]
+    lhs, *ops = poly_calculus_integrals(T, c, jobs)
+    p = [ops[i] * ops[i + 1] for i in range(0, len(ops), 2)]
+    return lhs - (p[0] + p[1] + p[2] - p[3] - p[4])
