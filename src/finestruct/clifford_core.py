@@ -1,7 +1,7 @@
-"""Exact arithmetic in the real Clifford algebra with five anticommuting
+"""Float64 arithmetic in the real Clifford algebra with five anticommuting
 generators, each squaring to -1, together with its paravector subspace.
 
-A multivector is stored densely as 32 real coefficients indexed by the 5-bit
+A multivector is stored densely as 32 float64 coefficients indexed by the 5-bit
 mask of the blade's index set (bit i-1 set means the generator e_i is a
 factor, in ascending order).
 """
@@ -16,7 +16,6 @@ N_GENERATORS = 5
 DIM = 1 << N_GENERATORS
 
 ATOL_DEFAULT = 1e-12
-RTOL_DEFAULT = 1e-10
 
 
 def blade_product(a: int, b: int) -> tuple[int, int]:
@@ -120,18 +119,14 @@ class Multivector:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        if not isinstance(other, Multivector):
+            return NotImplemented
         return Multivector._wrap(self.c + other.c)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = _coerce(other)
+        if not isinstance(other, Multivector):
+            return NotImplemented
         return Multivector._wrap(self.c - other.c)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        return Multivector._wrap(other.c - self.c)
 
     def __neg__(self):
         return Multivector._wrap(-self.c)
@@ -182,14 +177,6 @@ class Multivector:
             )
             parts.append(f"{v:+g}*{name}")
         return "MV(" + (" ".join(parts) if parts else "0") + ")"
-
-
-def _coerce(value) -> Multivector:
-    if isinstance(value, Multivector):
-        return value
-    if isinstance(value, (int, float, np.floating, np.integer)):
-        return Multivector.scalar(float(value))
-    raise TypeError(f"cannot coerce {type(value)!r} to Multivector")
 
 
 ZERO = Multivector()
@@ -268,8 +255,8 @@ def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return acc
 
 
-def is_paravector(x: Multivector, atol: float = ATOL_DEFAULT) -> bool:
-    return bool(np.max(np.abs(x.c[_HIGHER]), initial=0.0) <= atol)
+def is_paravector(x: Multivector) -> bool:
+    return bool(np.max(np.abs(x.c[_HIGHER]), initial=0.0) <= ATOL_DEFAULT)
 
 
 def paravector_conjugate(x: Multivector) -> Multivector:
@@ -326,20 +313,14 @@ def axis_decompose(x: Multivector):
     return x0, r, (Multivector._wrap(omega) if r else None)
 
 
-def embed(u: float, v: float, J: Multivector, atol: float = ATOL_DEFAULT) -> Multivector:
+def embed(u: float, v: float, J: Multivector) -> Multivector:
     """The point u + J v of the slice plane determined by the unit 1-vector J."""
-    check_imaginary_unit(J, atol)
+    check_imaginary_unit(J)
     return Multivector.scalar(u) + J * v
 
 
-def check_imaginary_unit(J: Multivector, atol: float = ATOL_DEFAULT) -> None:
-    if not is_paravector(J, atol) or abs(J[0]) > atol:
+def check_imaginary_unit(J: Multivector) -> None:
+    if not is_paravector(J) or abs(J[0]) > ATOL_DEFAULT:
         raise NotImaginaryUnit("J must be a 1-vector")
-    if abs(paravector_norm_sq(J) - 1.0) > max(atol, 1e-12):
+    if abs(paravector_norm_sq(J) - 1.0) > ATOL_DEFAULT:
         raise NotImaginaryUnit("J must have unit norm")
-
-
-def close(a: Multivector, b: Multivector, atol: float = ATOL_DEFAULT,
-          rtol: float = RTOL_DEFAULT) -> bool:
-    scale = max(a.norm_inf(), b.norm_inf())
-    return (a - b).norm_inf() <= max(atol, rtol * scale)

@@ -192,9 +192,9 @@ def word_image(word: tuple[str, ...], m: int) -> MappingProxyType:
 # -- monomial image tables -----------------------------------------------------
 
 
-def monomial_image(kind: str, m: int, side: str = LEFT) -> XBarPolynomial:
+def monomial_image(kind: str, m: int) -> XBarPolynomial:
     """Image of x^m under the operator word of the given kind, as an exact
-    integer-coefficient polynomial in (x, x̄)."""
+    integer-coefficient left polynomial in (x, x̄)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     terms: list[tuple[int, int, float]] = []
@@ -225,7 +225,7 @@ def monomial_image(kind: str, m: int, side: str = LEFT) -> XBarPolynomial:
                      for k in range(1, m - 1)]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return XBarPolynomial(terms, side)
+    return XBarPolynomial(terms)
 
 
 def sum_lemma_1(m: int) -> bool:
@@ -364,11 +364,8 @@ def fd_apply(word, f, x: Multivector, h: float = 1e-3, side: str = LEFT,
 class AxialPoly:
     """Exact bivariate polynomial sum x0^i r^j c_ij with Clifford values."""
 
-    def __init__(self, terms=None):
+    def __init__(self):
         self.terms: dict[tuple[int, int], Multivector] = {}
-        if terms:
-            for (i, j), c in dict(terms).items():
-                _accumulate(self.terms, (int(i), int(j)), c)
 
     def deriv(self, i: int, j: int) -> "AxialPoly":
         out = self
@@ -418,13 +415,13 @@ VEKUA_SYSTEMS = tuple(SYSTEM_TAGS)
 SYSTEM_WORDS = {sys: TAG_WORDS[tag] for sys, tag in SYSTEM_TAGS.items()}
 
 
-def vekua_residual(sys: str, A: AxialPoly, B: AxialPoly, p,
-                   r_min: float = 0.1) -> tuple[Multivector, Multivector]:
+def vekua_residual(sys: str, A: AxialPoly, B: AxialPoly,
+                   p) -> tuple[Multivector, Multivector]:
     """Evaluate both equations of the named axial PDE system at p = (x0, r),
     with the exact partial derivatives of the axial polynomials A and B."""
     x0, r = float(p[0]), float(p[1])
-    if r < r_min:
-        raise AxisTooClose(f"r = {r} below r_min = {r_min}")
+    if r < 0.1:
+        raise AxisTooClose(f"r = {r} below r_min = 0.1")
 
     def a(i: int, j: int) -> Multivector:
         return A.deriv(i, j)(x0, r)
@@ -489,11 +486,11 @@ def vekua_residual(sys: str, A: AxialPoly, B: AxialPoly, p,
 # -- classification and enumeration ---------------------------------------------
 
 
-def classify_space(P, atol: float = 0.0) -> set[str]:
+def classify_space(P) -> set[str]:
     """Set of fine-structure tags whose annihilator word kills P exactly."""
     C = to_canonical(P)
     tags = {tag for tag, word in TAG_WORDS.items()
-            if apply_word(word, C).is_zero(atol)}
+            if apply_word(word, C).is_zero()}
     if is_slice(C):
         tags.add("SH")
     return tags

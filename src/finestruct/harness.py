@@ -215,11 +215,15 @@ _BOOLEANS = {"1": True, "true": True, "yes": True,
 
 
 def _value(kind, raw: str, where: str):
-    """raw read as kind; a bool is 1/true/yes or 0/false/no, in any case."""
+    """raw read as kind; a bool is 1/true/yes or 0/false/no, in any case,
+    and a float (a tolerance) is not NaN, which no check value passes."""
     try:
-        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+        value = _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{where}: invalid {kind.__name__} {raw!r}") from exc
+    if kind is float and isnan(value):
+        raise ConfigError(f"{where}: a tolerance cannot be NaN, got {raw!r}")
+    return value
 
 
 # -- shared fixtures --------------------------------------------------------------
@@ -771,8 +775,13 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     if cfg["out"]:
-        with open(cfg["out"], "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(cfg["out"], "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {cfg['out']!r}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload.decode())
     return 1 if report["summary"]["fail"] else 0

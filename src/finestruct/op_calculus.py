@@ -98,9 +98,6 @@ class CliffordMatrix:
     def __sub__(self, other: "CliffordMatrix") -> "CliffordMatrix":
         return CliffordMatrix(self.a - other.a)
 
-    def __neg__(self) -> "CliffordMatrix":
-        return CliffordMatrix(-self.a)
-
     def scale(self, t: float) -> "CliffordMatrix":
         return CliffordMatrix(self.a * t)
 
@@ -207,7 +204,7 @@ class OperatorTuple:
         return self._spectrum
 
 
-def s_spectrum(T: OperatorTuple, atol: float = 1e-9) -> list:
+def s_spectrum(T: OperatorTuple) -> list:
     """Spectral spheres (u, v) with v >= 0: roots of
     det(z^2 I - 2 z T0 + T Tbar) via companion linearization."""
     d = T.d
@@ -222,10 +219,10 @@ def s_spectrum(T: OperatorTuple, atol: float = 1e-9) -> list:
     spheres = []
     for z in roots:
         u, v = float(np.real(z)), abs(float(np.imag(z)))
-        if v < atol:
+        if v < 1e-9:
             v = 0.0
         for (u0, v0) in spheres:
-            if hypot(u - u0, v - v0) < 10 * atol * (1.0 + abs(u0) + v0):
+            if hypot(u - u0, v - v0) < 1e-8 * (1.0 + abs(u0) + v0):
                 break
         else:
             spheres.append((u, v))
@@ -464,7 +461,7 @@ def poly_calculus_integrals(T: OperatorTuple, c, jobs) -> list:
     return [CliffordMatrix(acc).scale(1.0 / (2.0 * pi)) for acc in accs]
 
 
-def node_sum(accs: list, kernels, c, fvals: list, side: str = LEFT) -> list:
+def node_sum(accs: list, kernels, c, fvals: list, side: str) -> list:
     """Each acc + Σ (K_i·dsJ_i)·f_i (Left) or (f_i·dsJ_i)·K_i (Right) over
     the nodes of contour c, with the f_i of its own fvals entry, added node
     after node, as (32, d, d) arrays.
@@ -546,7 +543,7 @@ def product_rule_residual(f: SlicePolynomial, g: SlicePolynomial,
     Δ²(fg)(T) = Δ²f(T)g(T) + f(T)Δ²g(T) + Δf(T)Δg(T)
                 − DΔf(T)Dg(T) − Df(T)ΔDg(T),
     every term computed through the contour calculi."""
-    if not is_intrinsic(f, atol=0.0):
+    if not is_intrinsic(f):
         raise NotIntrinsic("f must have real coefficients")
     fr = [coeff[0] for coeff in f.coeffs]
     prod = [Multivector() for _ in range(len(fr) + len(g.coeffs) - 1)]

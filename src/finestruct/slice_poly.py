@@ -20,7 +20,6 @@ from .clifford_core import (
     VECTOR_MASKS,
     axis_decompose,
     axis_rows,
-    close,
     mv_mul_rows,
     paravector_conjugate,
 )
@@ -48,10 +47,6 @@ class SlicePolynomial:
     def __init__(self, coeffs, side: str = LEFT):
         self.side = _check_side(side)
         self.coeffs = [_coerce_coeff(c) for c in coeffs]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     @staticmethod
     def monomial(m: int, coeff=1.0, side: str = LEFT) -> "SlicePolynomial":
@@ -111,20 +106,15 @@ class CanonicalPoly:
     def __sub__(self, other: "CanonicalPoly") -> "CanonicalPoly":
         return self._merge(other, negate=True)
 
-    def scale(self, factor: float) -> "CanonicalPoly":
-        return CanonicalPoly(
-            {k: c * factor for k, c in self.terms.items()}, self.side
-        )
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.terms.values())
 
-    def is_zero(self, atol: float = 0.0) -> bool:
-        return all(c.is_zero(atol) for c in self.terms.values())
-
-    def equals(self, other: "CanonicalPoly", atol: float = 0.0) -> bool:
+    def equals(self, other: "CanonicalPoly") -> bool:
         keys = set(self.terms) | set(other.terms)
         for k in keys:
             a = self.terms.get(k, ZERO)
             b = other.terms.get(k, ZERO)
-            if not (a - b).is_zero(atol):
+            if not (a - b).is_zero():
                 return False
         return True
 
@@ -158,12 +148,12 @@ def eval_slice_poly_rows(P: SlicePolynomial, X: np.ndarray) -> np.ndarray:
     return acc
 
 
-def extend_stem(stem: StemPair, x: Multivector, atol: float = 1e-12) -> Multivector:
+def extend_stem(stem: StemPair, x: Multivector) -> Multivector:
     """Axial extension alpha(x0, r) + omega beta(x0, r) of a stem pair."""
     x0, r, omega = axis_decompose(x)
     beta = _coerce_coeff(stem.beta(x0, r))
     if omega is None:
-        if beta.norm_inf() > atol:
+        if beta.norm_inf() > 1e-12:
             raise AxisSingularity("odd stem part does not vanish on the axis")
         return _coerce_coeff(stem.alpha(x0, 0.0))
     return _coerce_coeff(stem.alpha(x0, r)) + omega * beta
@@ -240,12 +230,12 @@ def eval_xbar_poly(Q: XBarPolynomial, x: Multivector) -> Multivector:
     return acc
 
 
-def is_intrinsic(P: SlicePolynomial, atol: float = 0.0) -> bool:
-    """True iff every coefficient is a real scalar."""
-    return all((c - Multivector.scalar(c[0])).is_zero(atol) for c in P.coeffs)
+def is_intrinsic(P: SlicePolynomial) -> bool:
+    """True iff every coefficient is a real scalar, exactly."""
+    return all((c - Multivector.scalar(c[0])).is_zero() for c in P.coeffs)
 
 
-def is_slice(C: CanonicalPoly, atol: float = 1e-11) -> bool:
+def is_slice(C: CanonicalPoly) -> bool:
     """True iff the canonical polynomial equals the expansion of some
     one-sided slice polynomial sum_m x^m a_m.
 
@@ -261,7 +251,8 @@ def is_slice(C: CanonicalPoly, atol: float = 1e-11) -> bool:
             value = c * (1.0 / comb(m, b))
             if candidate is None:
                 candidate = value
-            elif not close(candidate, value, atol=atol, rtol=1e-10):
+            elif not ((candidate - value).norm_inf() <= max(1e-11, 1e-10 * max(
+                    candidate.norm_inf(), value.norm_inf()))):
                 return False
     return True
 

@@ -119,6 +119,15 @@ def test_is_zero_treats_nan_as_nonzero_and_negative_zero_as_zero():
     assert not Multivector.scalar(-1e-11).is_zero(atol=1e-12)
 
 
+def test_adding_a_number_to_a_multivector_is_a_type_error():
+    with pytest.raises(TypeError):
+        Multivector.scalar(1.0) + 1.0
+    with pytest.raises(TypeError):
+        Multivector.scalar(1.0) - 1.0
+    with pytest.raises(TypeError):
+        1.0 - Multivector.scalar(1.0)
+
+
 def test_paravector_roundtrip():
     x = Multivector.paravector(1.0, 2.0, 0.0, -1.0, 0.5, 0.25)
     assert is_paravector(x)

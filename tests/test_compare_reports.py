@@ -162,6 +162,18 @@ def test_sweep_rejects_an_unknown_suite_before_any_suite_runs(tmp_path,
     assert ran == [] and not out.exists()
 
 
+def test_sweep_rejects_first_after_last_before_any_suite_runs(
+        tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(sweep_reports, "run_suite", ran.append)
+    out = tmp_path / "out"
+    assert sweep_reports.main(["sweep_reports.py", "structures",
+                               "2", "1", str(out)]) == 2
+    assert ran == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert "sweep_reports.py SUITES FIRST LAST OUTDIR" in err
+
+
 # -- the committed manifest of report digests ---------------------------------------
 
 _MANIFEST = _TOOLS / "report_digests.json"

@@ -77,6 +77,21 @@ def test_malformed_tolerance_in_file_rejected_with_its_line(tmp_path, capsys):
     _rejected(["--config", path], capsys)
 
 
+def test_nan_tolerance_flag_rejected_with_its_key(capsys):
+    argv = ["--suite", "structures", "--tol", "structures.exact=nan"]
+    with pytest.raises(ConfigError, match="structures.exact"):
+        parse_config(argv)
+    _rejected(argv, capsys)
+
+
+def test_nan_tolerance_in_file_rejected_with_its_line(tmp_path, capsys):
+    path = _config_file(tmp_path, "suite = structures\n"
+                        "tol.structures.exact = NaN\n")
+    with pytest.raises(ConfigError, match=f"{path}:2"):
+        parse_config(["--config", path])
+    _rejected(["--config", path], capsys)
+
+
 def test_unknown_format_in_file_rejected(tmp_path, capsys):
     path = _config_file(tmp_path, "suite = structures\nformat = xml\n")
     _rejected(["--config", path], capsys)

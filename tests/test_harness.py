@@ -145,6 +145,13 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["--suite", "structures", "--out", str(out)]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_vekua_suite_flags_transcription_slips():
     cfg = parse_config(["--suite", "vekua"])
     report = run_suite(cfg)

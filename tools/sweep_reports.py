@@ -9,7 +9,8 @@ tools/report_digests.json holds them).
 
 Run it once in each of two checkouts, then compare the two directories with
 `tools/compare_reports.py OLD_DIR NEW_DIR`.  Exits 2 on a bad argument
-(checked for every suite before any suite runs) or an engine error.
+(FIRST after LAST, or a bad suite, checked for every suite before any
+suite runs) or an engine error.
 """
 
 import sys
@@ -40,6 +41,10 @@ def main(argv) -> int:
         first, last = int(first), int(last)
     except ValueError:
         print(f"error: FIRST and LAST must be integers, got {first!r} {last!r}",
+              file=sys.stderr)
+        return 2
+    if first > last:
+        print(f"error: FIRST {first} is after LAST {last}\n{__doc__}",
               file=sys.stderr)
         return 2
     try:
