@@ -272,10 +272,20 @@ def paravector_norm_sq(x: Multivector) -> float:
 
 
 def paravector_norm_sq_rows(X: np.ndarray) -> np.ndarray:
-    """paravector_norm_sq of each row of X (n, 32), with the same ** 2."""
-    return np.array([c0 ** 2 + c1 ** 2 + c2 ** 2 + c4 ** 2 + c8 ** 2 + c16 ** 2
-                     for c0, c1, c2, c4, c8, c16
-                     in X[:, list(PARAVECTOR_MASKS)].tolist()])
+    """paravector_norm_sq of each row of X (n, 32), bit for bit.
+
+    The six paravector slots are taken as six rows of n columns and squared
+    by np.float_power, whose float64 loop is libm pow, the call behind ** 2;
+    the squares are then added left to right, one whole row after another.
+    As with ** 2, a finite slot whose square overflows raises OverflowError,
+    and a sum that overflows is inf, without a warning."""
+    try:
+        with np.errstate(over="raise"):
+            sq = np.float_power(X.T[list(PARAVECTOR_MASKS)], 2.0)
+    except FloatingPointError:
+        raise OverflowError("a paravector slot's square is out of range") from None
+    with np.errstate(over="ignore"):
+        return np.add.reduce(sq, axis=0)
 
 
 def paravector_inverse(x: Multivector) -> Multivector:

@@ -18,6 +18,7 @@ rows) and op_calculus's resolvents ((n, 32, d, d) operators, x -> T).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -261,34 +262,66 @@ def fine_kernel_rows(kind: str, side: str, S, X) -> np.ndarray:
     return _table_stack(kind, side, S, X, q_power, mv_mul_rows)
 
 
+@lru_cache(maxsize=None)
+def _series_table(word: tuple[str, ...], N: int) -> tuple:
+    """The terms n x0^a x_^b of word_image(word, m), m = 0..N, as arrays:
+    (a_max, e_max, even, odd), where even and odd hold the terms of even and
+    of odd b.  Each is four (terms, N + 1) arrays: a, the exponent
+    e = b - b % 2 of r, the sign (-1)^(b // 2) and float(n).  Column m lists
+    the terms of the image of x^m in the mapping's order, padded with zeros;
+    a_max and e_max are the largest a and e.  The exponents (at most N) are
+    stored in the smallest integer type, which keeps the nine kinds' tables
+    at N = 60 near 0.5 MB."""
+    parts = []
+    for parity in (0, 1):
+        columns = [[(a, b - parity, (-1.0) ** (b // 2), float(n))
+                    for (a, b), n in word_image(word, m).items()
+                    if b % 2 == parity]
+                   for m in range(N + 1)]
+        table = np.zeros((4, max(map(len, columns)), N + 1))
+        for m, column in enumerate(columns):
+            table[:, :len(column), m] = np.reshape(column, (-1, 4)).T
+        parts.append((*table[:2].astype(np.min_scalar_type(N)),
+                      *table[2:].copy()))
+    a_max = max(int(a.max(initial=0)) for a, *_ in parts)
+    e_max = max(int(e.max(initial=0)) for _, e, *_ in parts)
+    return (a_max, e_max, *parts)
+
+
 def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
                        N: int) -> Multivector:
     """Partial sum of the kernel expansion sum_m image_m(x) s^(-1-m), where
     image_m is the operator word of the kind applied to x^m.
 
     Each image is the memoised integer table word_image(word, m), evaluated
-    at x = x0 + r omega as alpha_m + omega beta_m: x_^b is reduced as in
-    canonical_eval, the even-b terms summed into alpha_m and the odd-b terms
-    into beta_m.  The N + 1 terms are one row product of the values
-    alpha_m + omega beta_m with the powers, summed row after row from +0.0.
+    at x = x0 + r omega as alpha_m + omega beta_m: with x_^b reduced as in
+    canonical_eval, a term n x0^a x_^b is ((x0^a (-1)^(b // 2)) r^(b - b % 2))
+    n, with a factor r before n if b is odd.  alpha_m sums the even-b terms
+    and beta_m the odd-b ones in the mapping's order from +0.0, every m at
+    once over the columns of _series_table (a padded term is a signed zero,
+    which leaves such a sum as it is).  The N + 1 terms are one row product
+    of the values alpha_m + omega beta_m with the powers, summed row after
+    row from +0.0.
     """
     if paravector_norm_sq(x) >= paravector_norm_sq(s):
         raise OutsideConvergenceDisk("series requires |x| < |s|")
-    word = KIND_WORDS[kind]
     x0, r, omega = axis_decompose(x)
+    a_max, e_max, even, odd = _series_table(KIND_WORDS[kind], N)
+    # Only the powers the terms use, so ** raises OverflowError just where
+    # a term's own power overflows.
+    x0_pow = np.array([x0 ** a for a in range(a_max + 1)])
+    r_pow = np.array([r ** e for e in range(e_max + 1)])
+
+    def image_sums(table, factor):
+        # factor is 1.0 (exact) for alpha and r for beta.
+        a, e, sign, n = table
+        return np.add.reduce(((x0_pow[a] * sign) * r_pow[e]) * factor * n,
+                             axis=0, initial=0.0)
+
     values = np.zeros((N + 1, DIM))
-    betas = np.zeros(N + 1)
-    for m in range(N + 1):
-        alpha = beta = 0.0
-        for (a, b), n in word_image(word, m).items():
-            scalar = (x0 ** a) * ((-1.0) ** (b // 2)) * (r ** (b - (b % 2)))
-            if b % 2 == 0:
-                alpha += scalar * n
-            else:
-                beta += scalar * r * n
-        values[m, 0], betas[m] = alpha, beta
+    values[:, 0] = image_sums(even, 1.0)
     if omega is not None:
-        values = values + omega.c * betas[:, None]
+        values = values + omega.c * image_sums(odd, r)[:, None]
     powers = np.array([p.c for p in _slice_inverse_powers(s, N)])
     if side == LEFT:
         terms = mv_mul_rows(values, powers)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from finestruct.clifford_core import (
     paravector_conjugate,
     paravector_inverse,
     paravector_norm_sq,
+    paravector_norm_sq_rows,
 )
 from finestruct.errors import EngineError, NotImaginaryUnit, NotParavector, ZeroParavector
 
@@ -209,3 +212,46 @@ def test_paravector_inverse_guard_is_exact():
     c[[3, 7, 31]] = -0.0
     inv = paravector_inverse(Multivector(c))
     assert inv == paravector_inverse(Multivector.paravector(2.0, 1.0))
+
+
+def _reference_norm_sq_rows(X):
+    """paravector_norm_sq_rows as a per-row loop: the ** 2 of
+    paravector_norm_sq on the six slots, added left to right."""
+    return [c0 ** 2 + c1 ** 2 + c2 ** 2 + c4 ** 2 + c8 ** 2 + c16 ** 2
+            for c0, c1, c2, c4, c8, c16 in X[:, list(PARAVECTOR_MASKS)].tolist()]
+
+
+def test_paravector_norm_sq_rows_keeps_the_bits_of_the_power_rule():
+    """Scales 1e-170 to 1e150, +-0.0, subnormals, inf and NaN.  x * x,
+    np.square and np.power(x, 2.0) each differ from ** 2 in the last bit on
+    some of these rows, so this also checks that np.float_power squares
+    with libm pow, as ** 2 does."""
+    rng = np.random.default_rng(17)
+    n = 20_000
+    X = rng.normal(size=(n, 32)) * 10.0 ** rng.uniform(-170, 150, size=(n, 1))
+    for value, share in ((-0.0, 0.05), (0.0, 0.05), (5e-324, 0.01),
+                         (-3.1e-310, 0.01), (np.inf, 0.002), (-np.inf, 0.002),
+                         (np.nan, 0.002)):
+        X[rng.random((n, 32)) < share] = value
+    for rows in (X, X[:0], X[:1], X[::3], np.asfortranarray(X), X[::-1, ::-1]):
+        got = paravector_norm_sq_rows(rows)
+        assert got.shape == (len(rows),)
+        assert [v.hex() for v in got.tolist()] == [
+            v.hex() for v in _reference_norm_sq_rows(rows)]
+
+
+def test_paravector_norm_sq_rows_raises_where_a_square_overflows():
+    x = Multivector.paravector(0.5, 0.0, 1e200)
+    with pytest.raises(OverflowError):
+        paravector_norm_sq(x)
+    with pytest.raises(OverflowError):
+        paravector_norm_sq_rows(np.stack([ONE.c, x.c]))
+
+
+def test_paravector_norm_sq_rows_overflowing_sum_is_inf_without_a_warning():
+    x = Multivector.paravector(*[1e154] * 6)
+    assert paravector_norm_sq(x) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = paravector_norm_sq_rows(np.stack([x.c, ONE.c]))
+    assert got.tolist() == [np.inf, 1.0]

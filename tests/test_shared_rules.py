@@ -295,6 +295,29 @@ def test_fine_kernel_series_row_product_equals_the_reference_chain(kind, side):
         assert got.c.tobytes() == want.c.tobytes()
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("side", SIDES)
+def test_fine_kernel_series_edge_points_equal_the_reference_chain(kind, side):
+    """N = 0 and 1, x = 0, x on the axis with x0 < 0 and x0 = -0.0, and
+    vector slots near 1e-160, where r is subnormal or underflows to 0."""
+    s = Multivector.paravector(0.8, 0.25, -0.3, 0.1, 0.0, -0.2)
+    points = (
+        ZERO,
+        Multivector.scalar(-0.35),
+        Multivector.scalar(-0.0),
+        Multivector.paravector(-0.0, 0.2, -0.1),
+        Multivector.paravector(0.3, 1e-160, -2e-161, 0.0, 3e-160),
+        Multivector.paravector(-0.2, 1e-170, -0.0, 0.0, -2e-170),
+    )
+    assert axis_decompose(points[4])[1] > 0.0
+    assert axis_decompose(points[5])[1] == 0.0
+    for x in points:
+        for N in (0, 1, 2, 40):
+            got = fine_kernel_series(kind, side, s, x, N)
+            want = _reference_fine_kernel_series(kind, side, s, x, N)
+            assert got.c.tobytes() == want.c.tobytes(), (x, N)
+
+
 # -- the axial decomposition ---------------------------------------------------------
 
 
