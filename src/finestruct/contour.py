@@ -19,7 +19,8 @@ from .clifford_core import DIM, Multivector, check_imaginary_unit, mv_mul_rows
 from .errors import DegenerateRadius, PointOutsideDomain
 from .fueter_ops import KIND_WORDS, apply_word
 from .kernels import fine_kernel_rows
-from .slice_poly import LEFT, SlicePolynomial, canonical_eval, eval_slice_poly_rows
+from .slice_poly import (LEFT, SlicePolynomial, _check_side, canonical_eval,
+                         eval_slice_poly_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +86,7 @@ def slice_integral(K, c: Contour, f, side: str = LEFT) -> Multivector:
     K and f take the (N, 32) node rows and return (N, 32) rows, or one
     Multivector for a value that is the same at every node.  The terms are
     formed on all rows at once and added node after node from zero."""
+    _check_side(side)
     S, w = c.node_rows, c.dsj_rows
     kv, fv = _rows_at(K(S), len(S)), _rows_at(f(S), len(S))
     terms = (mv_mul_rows(mv_mul_rows(kv, w), fv) if side == LEFT

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 from types import MappingProxyType
 
 import numpy as np
@@ -35,6 +35,7 @@ from .slice_poly import (
     SlicePolynomial,
     XBarPolynomial,
     _accumulate,
+    _check_side,
     is_slice,
     to_canonical,
 )
@@ -328,6 +329,7 @@ def fd_apply_batch(word, F, x: Multivector, h: float = 1e-3, side: str = LEFT,
     float operations of a single-letter stencil, for all points of the outer
     letters at once.
     """
+    _check_side(side)
     word = tuple(word)
     steps = [h * step_growth ** (len(word) - 1 - i) for i in range(len(word))]
     points = x.c[None, :]
@@ -368,20 +370,12 @@ class AxialPoly:
         self.terms: dict[tuple[int, int], Multivector] = {}
 
     def deriv(self, i: int, j: int) -> "AxialPoly":
-        out = self
-        for _ in range(i):
-            out = out._d(0)
-        for _ in range(j):
-            out = out._d(1)
-        return out
-
-    def _d(self, axis: int) -> "AxialPoly":
+        """The partial derivative d^i/dx0^i d^j/dr^j, term by term."""
         out = AxialPoly()
-        for (i, j), c in self.terms.items():
-            if axis == 0 and i > 0:
-                _accumulate(out.terms, (i - 1, j), c * i)
-            elif axis == 1 and j > 0:
-                _accumulate(out.terms, (i, j - 1), c * j)
+        for (a, b), c in self.terms.items():
+            if a >= i and b >= j:
+                _accumulate(out.terms, (a - i, b - j),
+                            c * (perm(a, i) * perm(b, j)))
         return out
 
     def __call__(self, x0: float, r: float) -> Multivector:

@@ -560,18 +560,16 @@ def _suite_calculus(cfg, tol):
 
 
 def _es1bis_residual(T: OperatorTuple, s: Multivector, N: int) -> float:
+    # P_m = sum_k T^(m-k) Tbar^(k-1), k = 1..m, is T P_(m-1) + Tbar^(m-1).
     d = T.d
     spows = _slice_inverse_powers(s, N)
-    tp = [CliffordMatrix.identity(d)]
-    tb = [CliffordMatrix.identity(d)]
     Tc, Tbar = T.as_clifford(), T.conj_clifford()
-    for _ in range(N):
-        tp.append(tp[-1] * Tc)
-        tb.append(tb[-1] * Tbar)
-    acc = CliffordMatrix.zero(d)
+    P = acc = CliffordMatrix.zero(d)
+    tb = CliffordMatrix.identity(d)
     for m in range(1, N + 1):
-        for k in range(1, m + 1):
-            acc = acc + (tp[m - k] * tb[k - 1]) * spows[m]
+        P = Tc * P + tb
+        acc = acc + P * spows[m]
+        tb = tb * Tbar
     Q = (CliffordMatrix.from_multivector(s * s, d)
          - CliffordMatrix.from_blade(0, 2.0 * T.T0) * s
          + CliffordMatrix.from_blade(0, T.qmat()))

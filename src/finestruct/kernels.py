@@ -37,7 +37,7 @@ from .clifford_core import (
 )
 from .errors import OutsideConvergenceDisk, SpectralSphereHit
 from .fueter_ops import KIND_WORDS, word_image
-from .slice_poly import LEFT
+from .slice_poly import LEFT, _check_side
 
 GAMMA_5 = 64.0
 
@@ -124,6 +124,7 @@ def kernel_from_table(kind: str, side: str, factor, q_power):
     only for the factors the row uses; q_power(k) gives Q^(-k).  The terms
     are summed in table order from the first one, not from zero, which would
     turn a -0.0 into +0.0."""
+    _check_side(side)
     terms = KERNEL_TERMS.get(kind)
     if terms is None:
         raise ValueError(f"unknown kind {kind!r}")
@@ -153,6 +154,7 @@ def _build_factor(factor, name):
 
 def cauchy_kernel(side: str, form: str, s: Multivector, x: Multivector) -> Multivector:
     if form == "I":
+        _check_side(side)
         qn = _sphere_guarded(pseudo_kernel("noncommutative", s, x), s, x)
         qn_inv = paravector_inverse(qn)
         sbar_minus_x = paravector_conjugate(s) - x
@@ -303,6 +305,9 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
     of the values alpha_m + omega beta_m with the powers, summed row after
     row from +0.0.
     """
+    _check_side(side)
+    if N < 0:
+        raise ValueError(f"expected a series length N >= 0, got {N}")
     if paravector_norm_sq(x) >= paravector_norm_sq(s):
         raise OutsideConvergenceDisk("series requires |x| < |s|")
     x0, r, omega = axis_decompose(x)

@@ -53,6 +53,7 @@ from .slice_poly import (
     LEFT,
     RIGHT,
     SlicePolynomial,
+    _check_side,
     eval_slice_poly_rows,
     is_intrinsic,
 )
@@ -102,8 +103,6 @@ class CliffordMatrix:
         return CliffordMatrix(self.a * t)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
         if isinstance(other, Multivector):
             other = CliffordMatrix.from_multivector(other, self.dim)
         if not isinstance(other, CliffordMatrix):
@@ -395,6 +394,7 @@ def _image_sum(kind: str, side: str, T: OperatorTuple, coeffs) -> CliffordMatrix
     (right), where image_m is the image of x^m under the kind's word,
     evaluated at T in axial form; a zero coefficient adds nothing and is
     skipped."""
+    _check_side(side)
     word = KIND_WORDS[_table_kind(kind)]
     powers = _axial_powers(T)
     out = CliffordMatrix.zero(T.d)
@@ -410,6 +410,8 @@ def fine_resolvent_series(kind: str, side: str, T: OperatorTuple,
                           s: Multivector, N: int) -> CliffordMatrix:
     """Partial sum of the resolvent expansion: sum over m <= N of the image
     of x^m under the kind's word, evaluated at T, times s^(-1-m)."""
+    if N < 0:
+        raise ValueError(f"expected a series length N >= 0, got {N}")
     if T.norm_bound() >= sqrt(paravector_norm_sq(s)):
         raise OutsideConvergenceDisk("series requires ||T|| < |s|")
     return _image_sum(kind, side, T, _slice_inverse_powers(s, N))

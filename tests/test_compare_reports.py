@@ -1,5 +1,6 @@
 """tools/compare_reports.py: exit 0 when only values move, 1 on a status
-flip or a missing check or file, 2 on a wrong argument count; and
+flip or a missing check or file, 2 on a wrong argument count or a path that
+does not exist; and
 tools/sweep_reports.py, whose directories it compares."""
 
 import importlib.util
@@ -119,6 +120,21 @@ def test_wrong_argument_count_exits_2(tmp_path, capsys, argc):
     paths = [_write(tmp_path / f"r{i}.json", BASE) for i in range(argc)]
     assert _run(*paths) == 2
     assert "compare_reports.py OLD NEW" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ("old", "new", "manifest_dir"))
+def test_path_that_does_not_exist_exits_2(tmp_path, capsys, which):
+    report = _write(tmp_path / "r.json", BASE)
+    missing = tmp_path / "missing"
+    if which == "manifest_dir":
+        argv = ["--write-manifest", missing, tmp_path / "m.json"]
+    else:
+        argv = [missing, report] if which == "old" else [report, missing]
+    assert _run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {missing} does not exist\n"
+    assert captured.out == ""
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_sweep_writes_one_report_per_seed(tmp_path, capsys):

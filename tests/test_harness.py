@@ -231,3 +231,57 @@ def test_calculus_suite_at_seed_2_has_no_failing_check(capsys):
     report = run_suite(parse_config(["--suite", "calculus", "--seed", "2"]))
     capsys.readouterr()
     assert [c["id"] for c in report["checks"] if c["status"] == "fail"] == []
+
+
+def _printed_es1bis_residual(T, s, N):
+    """The residual with the printed double sum over (m, k), term by term."""
+    from finestruct.kernels import _slice_inverse_powers
+    from finestruct.op_calculus import CliffordMatrix
+
+    d = T.d
+    spows = _slice_inverse_powers(s, N)
+    Tc, Tbar = T.as_clifford(), T.conj_clifford()
+    acc = CliffordMatrix.zero(d)
+    for m in range(1, N + 1):
+        for k in range(1, m + 1):
+            term = CliffordMatrix.identity(d)
+            for _ in range(m - k):
+                term = term * Tc
+            for _ in range(k - 1):
+                term = term * Tbar
+            acc = acc + term * spows[m]
+    Q = (CliffordMatrix.from_multivector(s * s, d)
+         - CliffordMatrix.from_blade(0, 2.0 * T.T0) * s
+         + CliffordMatrix.from_blade(0, T.qmat()))
+    eye = CliffordMatrix.identity(d)
+    return max((Q * acc - eye).norm_inf(), (acc * Q - eye).norm_inf())
+
+
+def test_es1bis_recurrence_sums_the_printed_double_sum():
+    # At N = 4 the series is far from converged, so the residual is large
+    # and equal only if both sums are the same operator.
+    rng = np.random.default_rng(21)
+    T, _ = harness._rand_tuple(rng, 3, 0.4)
+    s = Multivector.paravector(0.9, 0.3, 0.0, 0.2)
+    got = harness._es1bis_residual(T, s, 4)
+    want = _printed_es1bis_residual(T, s, 4)
+    assert want > 1e-3
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_es1bis_makes_at_most_3n_plus_3_operator_products(monkeypatch):
+    from finestruct.op_calculus import CliffordMatrix
+
+    product = CliffordMatrix.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(CliffordMatrix, "__mul__", counting)
+    rng = np.random.default_rng(22)
+    T, _ = harness._rand_tuple(rng, 3, 0.2)
+    s = Multivector.paravector(1.5, 0.3, 0.0, 0.2)
+    assert harness._es1bis_residual(T, s, 80) < 1e-9
+    assert len(calls) <= 3 * 80 + 3

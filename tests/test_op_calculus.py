@@ -308,3 +308,12 @@ def test_delta_squared_of_s4_is_64():
     got = poly_calculus_integral("F5", LEFT, SlicePolynomial.monomial(4), T, c)
     expected = CliffordMatrix.identity(3).scale(64.0)
     assert (got - expected).norm_inf() < 1e-9
+
+
+def test_clifford_matrix_scales_by_a_number_from_the_left_only():
+    rng = np.random.default_rng(8)
+    M = CliffordMatrix(rng.normal(size=(DIM, 3, 3)))
+    assert (2.0 * M).a.tobytes() == (M.a * 2.0).tobytes()
+    assert (2 * M).a.tobytes() == (M.a * 2.0).tobytes()
+    with pytest.raises(TypeError):
+        M * 2.0

@@ -2,7 +2,8 @@
 file name.  Prints every status flip and every moved value, and on stderr
 how many checks fail on each side and how many flip pass -> fail and
 fail -> pass; exits 1 on a flip or when the check ids or file names differ,
-0 otherwise.
+2 on a wrong argument count or an input path that does not exist, 0
+otherwise.
 
     python tools/compare_reports.py OLD NEW
     python tools/compare_reports.py MANIFEST NEW_DIR
@@ -104,11 +105,19 @@ def check_manifest(manifest: dict, new: Path) -> bool:
 
 def main(argv) -> int:
     if len(argv) == 4 and argv[1] == "--write-manifest":
-        write_manifest(Path(argv[2]), Path(argv[3]))
-        return 0
-    if len(argv) != 3:
+        inputs = argv[2:3]
+    elif len(argv) == 3:
+        inputs = argv[1:]
+    else:
         print(__doc__, file=sys.stderr)
         return 2
+    for path in inputs:
+        if not Path(path).exists():
+            print(f"error: {path} does not exist", file=sys.stderr)
+            return 2
+    if len(argv) == 4:
+        write_manifest(Path(argv[2]), Path(argv[3]))
+        return 0
     old, new = Path(argv[1]), Path(argv[2])
     tally = Counter()
     if not old.is_dir():
