@@ -17,7 +17,7 @@ import numpy as np
 
 from .clifford_core import DIM, Multivector, check_imaginary_unit, mv_mul_rows
 from .errors import DegenerateRadius, PointOutsideDomain
-from .fueter_ops import KIND_WORDS, apply_word
+from .fueter_ops import _kind_word, apply_word
 from .kernels import fine_kernel_rows
 from .slice_poly import (LEFT, SlicePolynomial, _check_side, canonical_eval,
                          eval_slice_poly_rows)
@@ -125,4 +125,4 @@ def fine_integral_eval(kind: str, P: SlicePolynomial, x: Multivector,
 
 def word_eval(kind: str, P: SlicePolynomial, x: Multivector) -> Multivector:
     """Exact oracle: the operator word of the kind applied to P, at x."""
-    return canonical_eval(apply_word(KIND_WORDS[kind], P), x)
+    return canonical_eval(apply_word(_kind_word(kind), P), x)

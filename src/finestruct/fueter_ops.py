@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import comb, perm
+from math import comb, inf, perm
 from types import MappingProxyType
 
 import numpy as np
@@ -52,6 +52,14 @@ KIND_WORDS = {
     "F5": ("Delta", "Delta"),
     "Cauchy": (),
 }
+
+
+def _kind_word(kind: str) -> tuple[str, ...]:
+    """KIND_WORDS[kind], with ValueError for an unknown kind."""
+    try:
+        return KIND_WORDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown kind {kind!r}") from None
 
 # Annihilator word of each fine-structure space.
 TAG_WORDS = {
@@ -183,6 +191,8 @@ def word_image(word: tuple[str, ...], m: int) -> MappingProxyType:
     Clifford-coefficient engine (apply_operator on to_canonical) produces
     them.
     """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     if not word:
         terms = {_key(m - i, i): comb(m, i) for i in range(m + 1)}
     else:
@@ -330,6 +340,10 @@ def fd_apply_batch(word, F, x: Multivector, h: float = 1e-3, side: str = LEFT,
     letters at once.
     """
     _check_side(side)
+    for name, value in (("h", h), ("step_growth", step_growth)):
+        if not 0.0 < value < inf:
+            raise ValueError(
+                f"{name} must be finite and positive, got {value!r}")
     word = tuple(word)
     steps = [h * step_growth ** (len(word) - 1 - i) for i in range(len(word))]
     points = x.c[None, :]

@@ -25,6 +25,7 @@ from .fueter_ops import (
     KIND_ORDER,
     SYSTEM_TAGS,
     SYSTEM_WORDS,
+    TAG_WORDS,
     VEKUA_SYSTEMS,
     apply_word,
     axial_parts,
@@ -36,6 +37,7 @@ from .fueter_ops import (
     sum_lemma_1,
     sum_lemma_2,
     vekua_residual,
+    word_degrees,
 )
 from .kernels import (
     _q_inverse_power,
@@ -122,17 +124,19 @@ TOL_DEFAULTS = {
 
 
 def parse_config(argv) -> dict:
-    """CLI flags override file values override defaults."""
+    """Every value is one (key, raw, where) entry read by _set, the config
+    file's lines before the flags: flags override file values override
+    defaults.  A key given twice as a flag must parse to one value."""
     parser = argparse.ArgumentParser(
         prog="verify", description="Run verification suites.", add_help=True)
     for name, (kind, *_) in SETTINGS.items():
         flag = "--" + name.replace("_", "-")
         if kind is bool:
-            parser.add_argument(flag, action="append_const", const=True)
+            parser.add_argument(flag, action="append_const", const="1")
         else:
-            parser.add_argument(flag, action="append", type=kind)
+            parser.add_argument(flag, action="append")
     parser.add_argument("--tol", action="append", default=[])
-    parser.add_argument("--config", action="append")
+    parser.add_argument("--config", action="append", default=[])
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
@@ -140,38 +144,37 @@ def parse_config(argv) -> dict:
             raise ConfigError("invalid command line") from exc
         raise
 
-    def single(name):
-        values = getattr(ns, name)
-        if not values:
-            return None
-        if len(set(map(str, values))) > 1:
-            raise ConfigError(f"conflicting duplicate flag --{name}")
-        return values[-1]
-
-    cfg = dict(DEFAULTS)
-    cfg["tol"] = dict(TOL_DEFAULTS)
-
-    path = single("config")
+    cfg = dict(DEFAULTS, tol=dict(TOL_DEFAULTS))
+    if len(set(ns.config)) > 1:
+        raise ConfigError("conflicting duplicate flag --config")
+    path = ns.config[0] if ns.config else ""
+    lines = []
     if path:
-        cfg.update(_read_config_file(path))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path!r}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, eq, raw = line.partition("=")
+            if not eq:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            _set(cfg, key.strip(), raw.strip(), f"{path}:{lineno}")
 
-    for name in SETTINGS:
-        value = single(name)
-        if value is not None:
-            cfg[name] = value
-
-    seen: dict = {}
+    flags = [(name, raw, "--" + name.replace("_", "-"))
+             for name in SETTINGS for raw in getattr(ns, name) or ()]
     for item in ns.tol:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"--tol expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        if key not in TOL_DEFAULTS:
-            raise ConfigError(f"unknown tolerance key {key!r}")
-        value = _value(float, raw, f"--tol {key}")
-        if key in seen and seen[key] != value:
-            raise ConfigError(f"conflicting duplicate flag --tol {key}")
-        seen[key] = value
-        cfg["tol"][key] = value
+        flags.append(("tol." + key, raw, f"--tol {key}"))
+    given: dict = {}
+    for key, raw, where in flags:
+        value = _set(cfg, key, raw, where)
+        if given.setdefault(key, value) != value:
+            raise ConfigError(f"conflicting duplicate flag {where}")
 
     if cfg["suite"] not in SUITES + ("all",):
         raise UnknownSuite(f"unknown suite {cfg['suite']!r}")
@@ -183,46 +186,30 @@ def parse_config(argv) -> dict:
     return cfg
 
 
-def _read_config_file(path: str) -> dict:
-    out: dict = {"tol": dict(TOL_DEFAULTS)}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}") from exc
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key in SETTINGS:
-            out[key] = _value(SETTINGS[key][0], raw, f"{path}:{lineno}")
-        elif key.startswith("tol."):
-            tkey = key[4:]
-            if tkey not in TOL_DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown tolerance {tkey!r}")
-            out["tol"][tkey] = _value(float, raw, f"{path}:{lineno}")
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    return out
-
-
 _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
 
 
-def _value(kind, raw: str, where: str):
-    """raw read as kind; a bool is 1/true/yes or 0/false/no, in any case,
-    and a float (a tolerance) is not NaN, which no check value passes."""
+def _set(cfg: dict, key: str, raw: str, where: str):
+    """Store in cfg the setting key (tol.<id> for a tolerance) read from
+    raw, and return it; where names the flag or path:line in an error.  A
+    bool is 1/true/yes or 0/false/no, in any case, and a tolerance is a
+    float that is not NaN, which no check value passes."""
+    if key.startswith("tol."):
+        kind, table, key = float, cfg["tol"], key[4:]
+        if key not in TOL_DEFAULTS:
+            raise ConfigError(f"{where}: unknown tolerance {key!r}")
+    elif key in SETTINGS:
+        kind, table = SETTINGS[key][0], cfg
+    else:
+        raise ConfigError(f"{where}: unknown key {key!r}")
     try:
         value = _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{where}: invalid {kind.__name__} {raw!r}") from exc
     if kind is float and isnan(value):
         raise ConfigError(f"{where}: a tolerance cannot be NaN, got {raw!r}")
+    table[key] = value
     return value
 
 
@@ -609,13 +596,16 @@ def _two_component_tcost(rng, N: int) -> float:
                    for i in range(0, len(got), 2)])
 
 
-# Complement word of each space: annihilator ∘ complement = D Δ², so the
-# complement turns x^m into a fixture of the space.
-TAG_COMPLEMENTS = {
-    "AM": ("Delta", "Delta"), "AH": ("Delta", "D"), "ABH": ("D",),
-    "ACH1": ("Delta",), "AntiACH1": ("D", "D"), "AP2": ("Delta", "Dbar"),
-    "AP3": ("Dbar", "Dbar"), "APC12": ("Dbar",),
-}
+def _complement(word) -> tuple:
+    """The word that composes with an annihilator word to D Δ², and so turns
+    x^m into a fixture of the space: the (D, Dbar) degrees (3, 2) of D Δ²
+    less the word's, written as Δ^k, then the D or Dbar left over."""
+    a, b = word_degrees(word)
+    k = min(3 - a, 2 - b)
+    return ("Delta",) * k + ("D",) * (3 - a - k) + ("Dbar",) * (2 - b - k)
+
+
+TAG_COMPLEMENTS = {tag: _complement(word) for tag, word in TAG_WORDS.items()}
 
 
 def _suite_vekua(cfg, tol):

@@ -36,7 +36,7 @@ from .clifford_core import (
     paravector_norm_sq_rows,
 )
 from .errors import OutsideConvergenceDisk, SpectralSphereHit
-from .fueter_ops import KIND_WORDS, word_image
+from .fueter_ops import _kind_word, word_image
 from .slice_poly import LEFT, _check_side
 
 GAMMA_5 = 64.0
@@ -311,7 +311,7 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
     if paravector_norm_sq(x) >= paravector_norm_sq(s):
         raise OutsideConvergenceDisk("series requires |x| < |s|")
     x0, r, omega = axis_decompose(x)
-    a_max, e_max, even, odd = _series_table(KIND_WORDS[kind], N)
+    a_max, e_max, even, odd = _series_table(_kind_word(kind), N)
     # Only the powers the terms use, so ** raises OverflowError just where
     # a term's own power overflows.
     x0_pow = np.array([x0 ** a for a in range(a_max + 1)])

@@ -46,7 +46,7 @@ from .errors import (
     SingularSolve,
     SpectrumNotEnclosed,
 )
-from .fueter_ops import KIND_WORDS, word_image
+from .fueter_ops import _kind_word, word_image
 from .kernels import (KERNEL_TERMS, _slice_inverse_powers, _sphere_guarded,
                       _table_stack, pseudo_kernel)
 from .slice_poly import (
@@ -164,6 +164,8 @@ class OperatorTuple:
         for m in mats:
             if m.shape != (d, d):
                 raise ValueError("all components must be square of equal size")
+            if not np.isfinite(m).all():
+                raise ValueError("all components must be finite")
         for i in range(6):
             for j in range(i + 1, 6):
                 comm = mats[i] @ mats[j] - mats[j] @ mats[i]
@@ -395,7 +397,7 @@ def _image_sum(kind: str, side: str, T: OperatorTuple, coeffs) -> CliffordMatrix
     evaluated at T in axial form; a zero coefficient adds nothing and is
     skipped."""
     _check_side(side)
-    word = KIND_WORDS[_table_kind(kind)]
+    word = _kind_word(_table_kind(kind))
     powers = _axial_powers(T)
     out = CliffordMatrix.zero(T.d)
     for m, coeff in enumerate(coeffs):

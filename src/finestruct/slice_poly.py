@@ -50,6 +50,8 @@ class SlicePolynomial:
 
     @staticmethod
     def monomial(m: int, coeff=1.0, side: str = LEFT) -> "SlicePolynomial":
+        if m < 0:
+            raise ValueError("m must be nonnegative")
         coeffs = [ZERO] * m + [_coerce_coeff(coeff)]
         return SlicePolynomial(coeffs, side)
 

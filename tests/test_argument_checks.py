@@ -1,12 +1,24 @@
-"""An unknown side, or a negative series length N, raises ValueError at
-every public entry point instead of computing something else."""
+"""An unknown side, a negative series length N, an unknown kind, a negative
+degree, an FD step that is not finite and positive, and an operator tuple
+with a non-finite component raise ValueError at every public entry point
+instead of computing something else."""
 
 import numpy as np
 import pytest
 
 from finestruct.clifford_core import Multivector
-from finestruct.contour import circle, slice_integral
-from finestruct.fueter_ops import fd_apply, fd_apply_batch
+from finestruct.contour import (
+    circle,
+    fine_integral_eval,
+    slice_integral,
+    word_eval,
+)
+from finestruct.fueter_ops import (
+    fd_apply,
+    fd_apply_batch,
+    monomial_image,
+    word_image,
+)
 from finestruct.harness import _rand_slice_poly, _rand_tuple
 from finestruct.kernels import (
     cauchy_kernel,
@@ -19,6 +31,8 @@ from finestruct.kernels import (
     kernel_from_table,
 )
 from finestruct.op_calculus import (
+    OperatorTuple,
+    f5_moment,
     fine_resolvent,
     fine_resolvent_series,
     poly_calculus_exact,
@@ -26,7 +40,7 @@ from finestruct.op_calculus import (
     poly_calculus_integrals,
     resolvent_rows,
 )
-from finestruct.slice_poly import LEFT
+from finestruct.slice_poly import LEFT, SlicePolynomial
 
 S = Multivector.paravector(2.0, 0.3, 0.0, 0.1)
 X = Multivector.paravector(0.3, 0.1, -0.2, 0.0)
@@ -93,3 +107,87 @@ def test_negative_resolvent_series_length_is_rejected():
         fine_resolvent_series("D", LEFT, T, S, -1)
     with pytest.raises(ValueError, match="N >= 0, got -1"):
         fine_resolvent_series("D", LEFT, T, Multivector.scalar(1e-6), -1)
+
+
+# -- unknown kinds -------------------------------------------------------------
+
+
+def _kind_entry_points():
+    T, c, P = _operator_fixture()
+    return {
+        "fine_kernel": lambda: fine_kernel("Foo", LEFT, S, X),
+        "fine_kernel_rows": lambda: fine_kernel_rows("Foo", LEFT, S, X),
+        "fine_kernel_series": lambda: fine_kernel_series("Foo", LEFT, S, X, 4),
+        "kernel_from_table": lambda: kernel_from_table(
+            "Foo", LEFT, lambda name: X, lambda k: X),
+        "fine_resolvent": lambda: fine_resolvent("Foo", LEFT, T, S),
+        "resolvent_rows": lambda: resolvent_rows("Foo", LEFT, T, c),
+        "fine_resolvent_series": lambda: fine_resolvent_series(
+            "Foo", LEFT, T, S, 4),
+        "poly_calculus_exact": lambda: poly_calculus_exact("Foo", LEFT, P, T),
+        "poly_calculus_integral": lambda: poly_calculus_integral(
+            "Foo", LEFT, P, T, c),
+        "poly_calculus_integrals": lambda: poly_calculus_integrals(
+            T, c, [("Foo", LEFT, P)]),
+        "fine_integral_eval": lambda: fine_integral_eval(
+            "Foo", P, X * 0.1, circle(0.0, 1.0, E1, 16)),
+        "word_eval": lambda: word_eval("Foo", P, X),
+        "monomial_image": lambda: monomial_image("Foo", 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_kind_entry_points()))
+def test_unknown_kind_is_rejected(name):
+    with pytest.raises(ValueError, match="unknown kind 'Foo'"):
+        _kind_entry_points()[name]()
+
+
+# -- negative degrees ----------------------------------------------------------
+
+
+def test_negative_monomial_degree_is_rejected():
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        SlicePolynomial.monomial(-1)
+
+
+def test_negative_word_image_degree_is_rejected():
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        word_image(("D",), -1)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        word_image((), -1)
+
+
+def test_negative_f5_moment_degree_is_rejected():
+    T, c, _ = _operator_fixture()
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        f5_moment(T, c, -1)
+
+
+# -- the FD oracle's steps -----------------------------------------------------
+
+BAD_STEPS = (0.0, -1e-3, float("nan"), float("inf"), -float("inf"))
+
+
+def _never_called(*_):
+    raise AssertionError("F was called")
+
+
+@pytest.mark.parametrize("name", ("h", "step_growth"))
+@pytest.mark.parametrize("bad", BAD_STEPS)
+def test_bad_fd_step_is_rejected_before_f_is_called(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        fd_apply_batch(("Delta", "D"), _never_called, X, **{name: bad})
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        fd_apply(("D",), _never_called, X, **{name: bad})
+
+
+# -- finite operator tuples ----------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", (float("inf"), -float("inf"), float("nan")))
+def test_non_finite_operator_component_is_rejected(bad):
+    mats = [np.eye(2) * 0.1 * (i + 1) for i in range(6)]
+    mats[3] = mats[3].copy()
+    mats[3][0, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        OperatorTuple(mats)

@@ -107,3 +107,60 @@ def test_smallest_valid_settings_accepted(tmp_path):
     cfg = parse_config(["--config", path])
     assert (cfg["dim"], cfg["degree_cap"], cfg["seed"], cfg["nodes"],
             cfg["format"]) == (1, 0, 0, 16, "csv")
+
+
+# -- one reader for flags, --tol and file lines --------------------------------
+
+
+def test_malformed_integer_flag_names_the_flag_and_value(capsys):
+    with pytest.raises(ConfigError, match=r"--seed: invalid int 'abc'"):
+        parse_config(["--seed", "abc"])
+    assert main(["--seed", "abc"]) == 2
+    assert "error: --seed: invalid int 'abc'" in capsys.readouterr().err
+
+
+def test_unknown_tolerance_flag_names_the_tolerance(capsys):
+    with pytest.raises(ConfigError, match="--tol foo: unknown tolerance 'foo'"):
+        parse_config(["--tol", "foo=1"])
+    _rejected(["--tol", "foo=1"], capsys)
+
+
+def test_unknown_tolerance_in_file_has_the_flag_wording(tmp_path):
+    path = _config_file(tmp_path, "tol.foo = 1\n")
+    with pytest.raises(ConfigError, match=f"{path}:1: unknown tolerance 'foo'"):
+        parse_config(["--config", path])
+
+
+def test_repeated_boolean_flag_accepted():
+    assert parse_config(["--timing", "--timing"])["timing"] is True
+
+
+@pytest.mark.parametrize("first, second, value", (
+    ("1e-4", "1e-4", 1e-4), ("1", "1.0", 1.0)))
+def test_tolerance_flags_that_parse_to_one_value_accepted(first, second, value):
+    cfg = parse_config(["--tol", f"kernels.fd={first}",
+                        "--tol", f"kernels.fd={second}"])
+    assert cfg["tol"]["kernels.fd"] == value
+
+
+def test_two_config_paths_rejected(tmp_path, capsys):
+    one = _config_file(tmp_path, "seed = 3\n")
+    other = tmp_path / "other.txt"
+    other.write_text("seed = 3\n")
+    _rejected(["--config", one, "--config", str(other)], capsys)
+    assert parse_config(["--config", one, "--config", one])["seed"] == 3
+
+
+def test_flag_beats_file_for_a_boolean_and_a_tolerance(tmp_path):
+    path = _config_file(tmp_path, "timing = no\ntol.kernels.fd = 0.5\n")
+    cfg = parse_config(["--config", path, "--timing",
+                        "--tol", "kernels.fd=0.25"])
+    assert cfg["timing"] is True
+    assert cfg["tol"]["kernels.fd"] == 0.25
+
+
+def test_file_values_are_stored_in_the_default_key_order(tmp_path):
+    path = _config_file(tmp_path, "tol.kernels.p0 = 1\nformat = csv\n")
+    cfg = parse_config(["--config", path])
+    assert list(cfg) == list(parse_config([]))
+    assert list(cfg["tol"]) == list(parse_config([])["tol"])

@@ -465,3 +465,17 @@ def test_canonical_eval_equals_the_reference_scalar_body(side):
         Y[:, list(PARAVECTOR_MASKS)] = paravectors
         assert (canonical_eval_rows(C, Y).tobytes()
                 == _reference_canonical_eval_rows(C, Y).tobytes())
+
+
+# The complement table as it was written out before it was derived from
+# TAG_WORDS.
+REFERENCE_TAG_COMPLEMENTS = {
+    "AM": ("Delta", "Delta"), "AH": ("Delta", "D"), "ABH": ("D",),
+    "ACH1": ("Delta",), "AntiACH1": ("D", "D"), "AP2": ("Delta", "Dbar"),
+    "AP3": ("Dbar", "Dbar"), "APC12": ("Dbar",),
+}
+
+
+def test_tag_complements_are_the_literal_table_word_for_word():
+    assert list(TAG_COMPLEMENTS.items()) == list(
+        REFERENCE_TAG_COMPLEMENTS.items())
