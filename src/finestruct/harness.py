@@ -18,7 +18,7 @@ from math import isnan, sqrt
 import numpy as np
 
 from . import __version__
-from .clifford_core import Multivector, paravector_norm_sq
+from .clifford_core import Multivector, mv_mul_rows, paravector_norm_sq
 from .errors import ConfigError, EngineError, UnknownSuite
 from .fueter_ops import (
     KIND_WORDS,
@@ -52,6 +52,7 @@ from .kernels import (
 from .contour import circle, fine_integral_eval, word_eval
 from .op_calculus import (
     CliffordMatrix,
+    NodeRows,
     OperatorTuple,
     f_resolvent_equation_residual,
     fine_resolvent,
@@ -71,6 +72,7 @@ from .slice_poly import (
     canonical_eval,
     canonical_eval_rows,
     eval_slice_poly,
+    eval_slice_poly_rows,
     to_canonical,
 )
 
@@ -126,7 +128,8 @@ TOL_DEFAULTS = {
 def parse_config(argv) -> dict:
     """Every value is one (key, raw, where) entry read by _set, the config
     file's lines before the flags: flags override file values override
-    defaults.  A key given twice as a flag must parse to one value."""
+    defaults.  A key given twice as a flag, or twice in the file, must
+    parse to one value."""
     parser = argparse.ArgumentParser(
         prog="verify", description="Run verification suites.", add_help=True)
     for name, (kind, *_) in SETTINGS.items():
@@ -147,21 +150,25 @@ def parse_config(argv) -> dict:
     cfg = dict(DEFAULTS, tol=dict(TOL_DEFAULTS))
     if len(set(ns.config)) > 1:
         raise ConfigError("conflicting duplicate flag --config")
-    path = ns.config[0] if ns.config else ""
     lines = []
-    if path:
+    if ns.config:  # given, even as "", which names no readable file
+        path = ns.config[0]
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!r}") from exc
+    given: dict = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if line and not line.startswith("#"):
             key, eq, raw = line.partition("=")
             if not eq:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
-            _set(cfg, key.strip(), raw.strip(), f"{path}:{lineno}")
+            key, where = key.strip(), f"{path}:{lineno}"
+            value = _set(cfg, key, raw.strip(), where)
+            if given.setdefault(key, value) != value:
+                raise ConfigError(f"{where}: conflicting duplicate key {key!r}")
 
     flags = [(name, raw, "--" + name.replace("_", "-"))
              for name in SETTINGS for raw in getattr(ns, name) or ()]
@@ -170,7 +177,7 @@ def parse_config(argv) -> dict:
         if not eq:
             raise ConfigError(f"--tol expects key=value, got {item!r}")
         flags.append(("tol." + key, raw, f"--tol {key}"))
-    given: dict = {}
+    given = {}
     for key, raw, where in flags:
         value = _set(cfg, key, raw, where)
         if given.setdefault(key, value) != value:
@@ -581,16 +588,19 @@ def _two_component_tcost(rng, N: int) -> float:
         alphas = [[Multivector(rng.normal(size=32)) for _ in range(t + 1)]
                   for _ in range(2)]
 
-        def perturbed(s, _alphas=alphas, _P=P):
-            comp = 0 if abs(s[0]) < 2.5 else 1
-            val = eval_slice_poly(_P, s)
-            spow = Multivector.scalar(1.0)
-            for a in _alphas[comp]:
-                val = val + spow * a
-                spow = spow * s
-            return val
+        def perturbed(S, _alphas=alphas, _P=P):
+            # Each node takes the chain of its own component's alphas.
+            vals = []
+            for comp in _alphas:
+                val, spow = eval_slice_poly_rows(_P, S), np.zeros_like(S)
+                spow[:, 0] = 1.0
+                for a in comp:
+                    val = val + mv_mul_rows(spow, a.c[None])
+                    spow = mv_mul_rows(spow, S)
+                vals.append(val)
+            return np.where((np.abs(S[:, 0]) < 2.5)[:, None], *vals)
 
-        jobs += [(kind, LEFT, P), (kind, LEFT, perturbed)]
+        jobs += [(kind, LEFT, P), (kind, LEFT, NodeRows(perturbed))]
     got = poly_calculus_integrals(T, contours, jobs)
     return _worst([(got[i + 1] - got[i]).norm_inf()
                    for i in range(0, len(got), 2)])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import hypot, pi, sqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -358,52 +359,56 @@ def canonical_operator_eval(image, T: OperatorTuple) -> CliffordMatrix:
     The components commute, so V^2 = -R with R = T1^2 + ... + T5^2 and the
     result is A + V B: A sums n T0^a (-R)^(b/2) over even b, B sums
     n T0^a (-R)^((b-1)/2) over odd b.  Needs commutativity only, not
-    diagonalizability."""
-    return _axial_eval(image, T, _axial_powers(T))
+    diagonalizability.  The one-image case of _axial_images."""
+    return CliffordMatrix(_axial_images([image], T)[0])
 
 
-def _axial_powers(T: OperatorTuple) -> tuple:
-    """([I], [I], -R): the power lists of T0 and of -R, which _axial_eval
-    grows on demand, and -R.  Callers that evaluate several images at one
-    tuple share them, so each power is formed once."""
-    return [_eye(T.d)], [_eye(T.d)], -sum(m @ m for m in T.mats[1:])
+def _axial_images(images, T: OperatorTuple) -> np.ndarray:
+    """The (k, 32, d, d) stack of canonical_operator_eval over k images,
+    each with the bits of its own term loop: A and B from +0.0, adding
+    float(n) * (T0^a @ (-R)^h), h = b // 2, term after term.
 
-
-def _axial_eval(image, T: OperatorTuple, powers) -> CliffordMatrix:
-    """canonical_operator_eval with the power lists of _axial_powers(T)."""
-    t0_pows, r_pows, neg_r = powers
-    d = T.d
-    A = np.zeros((d, d))
-    B = np.zeros((d, d))
-    for (a, b), n in image.items():
-        while len(t0_pows) <= a:
-            t0_pows.append(t0_pows[-1] @ T.T0)
-        while len(r_pows) <= b // 2:
-            r_pows.append(r_pows[-1] @ neg_r)
-        term = float(n) * (t0_pows[a] @ r_pows[b // 2])
-        if b % 2:
-            B += term
-        else:
-            A += term
-    out = np.zeros((DIM, d, d))
-    out[0] = A
-    out[VECTOR_MASKS] = np.asarray(T.mats[1:]) @ B
-    return CliffordMatrix(out)
+    The powers of T0 and -R are grown once, to the largest a and h of all
+    images, and every term's product is one stacked matmul (one GEMM per
+    pair, as in _mul_stack).  Row t + 1 of G holds the t-th term of each
+    image i in its A column i or B column k + i, and +0.0 elsewhere: a
+    sum from +0.0 is never -0.0, so the zeros add nothing, and one axis-0
+    reduce adds the rows in order."""
+    d, k = T.d, len(images)
+    t, col, a, h = np.array(
+        [(t, i + k * (b % 2), a, b // 2) for i, image in enumerate(images)
+         for t, (a, b) in enumerate(image)], dtype=int).reshape(-1, 4).T
+    c = np.array([float(v) for image in images for v in image.values()])
+    t0_pows, r_pows = [_eye(d)], [_eye(d)]
+    neg_r = -sum(m @ m for m in T.mats[1:])
+    while len(t0_pows) <= a.max(initial=0):
+        t0_pows.append(t0_pows[-1] @ T.T0)
+    while len(r_pows) <= h.max(initial=0):
+        r_pows.append(r_pows[-1] @ neg_r)
+    terms = np.array(t0_pows)[a] @ np.array(r_pows)[h]
+    terms *= c[:, None, None]
+    G = np.zeros((max(map(len, images), default=0) + 1, 2 * k, d, d))
+    G[t + 1, col] = terms
+    A, B = np.split(np.add.reduce(G, axis=0), 2)
+    out = np.zeros((k, DIM, d, d))
+    out[:, 0] = A
+    out[:, VECTOR_MASKS] = np.asarray(T.mats[1:]) @ B[:, None]
+    return out
 
 
 def _image_sum(kind: str, side: str, T: OperatorTuple, coeffs) -> CliffordMatrix:
     """Sum over m of image_m(T) * coeffs[m] (left) or coeffs[m] * image_m(T)
-    (right), where image_m is the image of x^m under the kind's word,
-    evaluated at T in axial form; a zero coefficient adds nothing and is
-    skipped."""
+    (right), where image_m is the image of x^m under the kind's word, all
+    evaluated at T in one _axial_images; a zero coefficient adds nothing and
+    is skipped."""
     _check_side(side)
     word = _kind_word(_table_kind(kind))
-    powers = _axial_powers(T)
+    nonzero = [(m, coeff) for m, coeff in enumerate(coeffs)
+               if not coeff.is_zero()]
+    stack = _axial_images([word_image(word, m) for m, _ in nonzero], T)
     out = CliffordMatrix.zero(T.d)
-    for m, coeff in enumerate(coeffs):
-        if coeff.is_zero():
-            continue
-        image = _axial_eval(word_image(word, m), T, powers)
+    for (_, coeff), block in zip(nonzero, stack):
+        image = CliffordMatrix(block)
         out = out + (image * coeff if side == LEFT else coeff * image)
     return out
 
@@ -433,9 +438,9 @@ def _check_enclosed(T: OperatorTuple, c) -> None:
 def poly_calculus_integral(kind: str, side: str, P, T: OperatorTuple,
                            c) -> CliffordMatrix:
     """(1/2π)∫ S⁻¹_kind(s,T) ds_J f(s) over one contour or several
-    (disconnected spectrum).  P is a slice polynomial, evaluated on each
-    contour's node rows at once, or a callable s -> value, called per node:
-    the one-job case of poly_calculus_integrals."""
+    (disconnected spectrum).  P is a slice polynomial or a NodeRows, each
+    evaluated on a contour's node rows at once, or a callable s -> value,
+    called per node: the one-job case of poly_calculus_integrals."""
     return poly_calculus_integrals(T, c, [(kind, side, P)])[0]
 
 
@@ -493,9 +498,25 @@ def node_sum(accs: list, kernels, c, fvals: list, side: str) -> list:
     return accs
 
 
+class NodeRows(NamedTuple):
+    """An integrand given on all node rows of a contour at once: f maps the
+    (N, 32) node rows to the (N, 32) value rows, as the f of
+    contour.slice_integral does (always as rows here)."""
+    f: Callable
+
+
 def _integrand_rows(P, c) -> np.ndarray:
     """The (N, 32) rows of P at the nodes of contour c: a slice polynomial
-    on all node rows at once, a callable s -> value per node."""
+    on all node rows at once, NodeRows(f) in one call of f, whose rows must
+    be finite floats of the nodes' shape, a callable s -> value per node."""
+    if isinstance(P, NodeRows):
+        rows = np.asarray(P.f(c.node_rows))
+        if (rows.shape != c.node_rows.shape or rows.dtype.kind != "f"
+                or not np.isfinite(rows).all()):
+            raise ValueError(f"NodeRows: expected finite float rows of shape "
+                             f"{c.node_rows.shape}, got {rows.dtype} rows of "
+                             f"shape {rows.shape}")
+        return rows
     if callable(P):
         return np.array([P(s).c for s in c.nodes])
     return eval_slice_poly_rows(P, c.node_rows)

@@ -164,3 +164,27 @@ def test_file_values_are_stored_in_the_default_key_order(tmp_path):
     cfg = parse_config(["--config", path])
     assert list(cfg) == list(parse_config([]))
     assert list(cfg["tol"]) == list(parse_config([])["tol"])
+
+
+def test_conflicting_duplicate_key_in_file_rejected_at_its_line(tmp_path,
+                                                                capsys):
+    path = _config_file(tmp_path, "seed = 1\n# again\nseed = 2\n")
+    with pytest.raises(ConfigError,
+                       match=f"{path}:3: conflicting duplicate key 'seed'"):
+        parse_config(["--config", path])
+    _rejected(["--config", path], capsys)
+
+
+def test_file_repeat_that_parses_to_one_value_accepted(tmp_path):
+    path = _config_file(tmp_path, "seed = 4\ntol.kernels.fd = 1\n"
+                        "seed=4\ntol.kernels.fd = 1.0\n")
+    cfg = parse_config(["--config", path])
+    assert (cfg["seed"], cfg["tol"]["kernels.fd"]) == (4, 1.0)
+    # A flag still overrides the file's value without a conflict.
+    assert parse_config(["--config", path, "--seed", "5"])["seed"] == 5
+
+
+def test_empty_config_path_is_an_unreadable_file(capsys):
+    with pytest.raises(ConfigError, match="cannot read config file ''"):
+        parse_config(["--config", ""])
+    _rejected(["--config", ""], capsys)
