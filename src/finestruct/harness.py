@@ -469,17 +469,13 @@ def _suite_calculus(cfg, tol):
 
     T, _ = _rand_tuple(rng, d)
     c = spectral_circle(T, e1, N, 1.25)
-    # Each group of checks on c draws its inputs in check order and makes
-    # one batched call, so its time falls on the group's first check.
+    # Every integral on c is one batched call, made once the last of its
+    # inputs (independence's P) is drawn.  Inputs are drawn in check order,
+    # so the checks on c are yielded after the others, and the call's time
+    # falls on the first of them, calculus.exact.SC.
     exact_kinds = ("SC",) + FINE_KINDS + ("F5",)
-    jobs = [(kind, side, _rand_slice_poly(rng, cfg["degree_cap"], side))
-            for kind in exact_kinds for side in (LEFT, RIGHT)]
-    errors = [(got - poly_calculus_exact(kind, side, P, T)).norm_inf()
-              for got, (kind, side, P)
-              in zip(poly_calculus_integrals(T, c, jobs), jobs)]
-    for i, kind in enumerate(exact_kinds):
-        yield (f"calculus.exact.{kind}", errors[2 * i:2 * i + 2],
-               tol["calculus.exact"], None)
+    exact = [(kind, side, _rand_slice_poly(rng, cfg["degree_cap"], side))
+             for kind in exact_kinds for side in (LEFT, RIGHT)]
 
     s = _rand_paravector(rng, 2.0 * T.norm_bound())
     yield ("calculus.series",
@@ -516,27 +512,19 @@ def _suite_calculus(cfg, tol):
         errors.append(product_rule_residual(f, g, Tk, ck).norm_inf())
     yield ("calculus.prodo", errors, tol["calculus.prodo"], None)
 
-    moments = poly_calculus_integrals(
-        T, c, [("F5", LEFT, SlicePolynomial.monomial(j)) for j in range(4)])
-    yield ("calculus.moments", [m.norm_inf() for m in moments],
-           tol["calculus.moments"], None)
+    moments = [("F5", LEFT, SlicePolynomial.monomial(j)) for j in range(4)]
 
     # Tcost: perturbations of degree below the annihilator order leave the
     # calculus unchanged.
     tcost_kinds = FINE_KINDS + ("F5",)
-    jobs = []
+    tcost = []
     for kind in tcost_kinds:
         t = KIND_ORDER[kind] - 1
         P = _rand_slice_poly(rng, cfg["degree_cap"], LEFT)
         pert = SlicePolynomial(
             [P.coeffs[j] + Multivector(rng.normal(size=32))
              if j <= t else P.coeffs[j] for j in range(len(P.coeffs))], LEFT)
-        jobs += [(kind, LEFT, P), (kind, LEFT, pert)]
-    got = poly_calculus_integrals(T, c, jobs)
-    for i, kind in enumerate(tcost_kinds):
-        yield (f"calculus.tcost.{kind}",
-               (got[2 * i] - got[2 * i + 1]).norm_inf(),
-               tol["calculus.tcost"], None)
+        tcost += [(kind, LEFT, P), (kind, LEFT, pert)]
 
     # Disconnected spectrum: two clusters, per-component perturbations of
     # degree <= t change nothing.
@@ -546,7 +534,24 @@ def _suite_calculus(cfg, tol):
     cj = spectral_circle(T, e3, N, 1.25)
     ck2 = spectral_circle(T, e1, N, 1.6)
     P = _rand_slice_poly(rng, cfg["degree_cap"], LEFT)
-    base = poly_calculus_integral("F5", LEFT, P, T, c)
+    got = iter(poly_calculus_integrals(
+        T, c, exact + moments + tcost + [("F5", LEFT, P)]))
+
+    errors = [(next(got) - poly_calculus_exact(kind, side, Pk, T)).norm_inf()
+              for kind, side, Pk in exact]
+    for i, kind in enumerate(exact_kinds):
+        yield (f"calculus.exact.{kind}", errors[2 * i:2 * i + 2],
+               tol["calculus.exact"], None)
+
+    yield ("calculus.moments", [next(got).norm_inf() for _ in moments],
+           tol["calculus.moments"], None)
+
+    for kind in tcost_kinds:
+        # A job's integral, less that of its perturbed twin.
+        yield (f"calculus.tcost.{kind}", (next(got) - next(got)).norm_inf(),
+               tol["calculus.tcost"], None)
+
+    base = next(got)
     yield ("calculus.independence",
            [(poly_calculus_integral("F5", LEFT, P, T, cc) - base).norm_inf()
             for cc in (cj, ck2)],

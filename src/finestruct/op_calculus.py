@@ -125,13 +125,25 @@ def _mul_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The operator products A[n] * B[n] of two (n, 32, d, d) stacks.
 
     out[k] = sum_b SIGN_TABLE[k ^ b, b] * A[k ^ b] @ B[b] is one matmul per
-    pair, left @ B.reshape(32 d, d), with the left-regular matrix
-    L[(k, i), (b, j)] = [A, -A][LEFT_SIGNED[k, b], i, j] gathered a whole
-    row of d floats at a time.  A stacked matmul calls the same GEMM once per
-    pair, so each product has the bits of a product made alone."""
+    pair, left @ B.reshape(32 d, d), with the left-regular matrix of A.  A
+    stacked matmul calls the same GEMM once per pair, so each product has
+    the bits of a product made alone."""
+    return _left_matmul(_left_regular(A), B)
+
+
+def _left_regular(A: np.ndarray) -> np.ndarray:
+    """The (n, 32 d, 32 d) left-regular matrices of an (n, 32, d, d) stack,
+    L[(k, i), (b, j)] = [A, -A][LEFT_SIGNED[k, b], i, j], gathered a whole
+    row of d floats at a time."""
     n, _, d, _ = A.shape
     signed = np.concatenate((A, -A), axis=1).reshape(n, 2 * DIM * d, d)
-    left = signed.take(_left_rows(d), axis=1).reshape(n, DIM * d, DIM * d)
+    return signed.take(_left_rows(d), axis=1).reshape(n, DIM * d, DIM * d)
+
+
+def _left_matmul(left: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The products whose left operands have the left-regular matrices
+    left, with the (n, 32, d, d) stack B: one GEMM per pair."""
+    n, _, d, _ = B.shape
     return (left @ B.reshape(n, DIM * d, d)).reshape(n, DIM, d, d)
 
 
@@ -477,9 +489,11 @@ def node_sum(accs: list, kernels, c, fvals: list, side: str) -> list:
 
     kernels yields the (n, 32, d, d) operator kernels of each block of
     _BLOCK nodes, shared by every sum, and each fvals entry holds (N, 32)
-    multivector rows f_i.  The terms of a block are stacked products, and
-    K·dsJ is formed once per block; the multivector product f_i·dsJ_i is
-    mv_mul_rows, which equals mv_mul row by row."""
+    multivector rows f_i.  The terms of a block are stacked products.  On
+    the left, K·dsJ and its left-regular matrix are formed once per block
+    and every job reads that matrix; on the right each job's f_i·dsJ_i is
+    the left operand.  The multivector product f_i·dsJ_i is mv_mul_rows,
+    which equals mv_mul row by row."""
     accs = list(accs)
     d = accs[0].shape[-1]
     w = c.dsj_rows
@@ -488,13 +502,16 @@ def node_sum(accs: list, kernels, c, fvals: list, side: str) -> list:
     for lo, K in zip(range(0, len(w), _BLOCK), kernels):
         block = slice(lo, lo + len(K))
         if side == LEFT:
-            KW = _mul_stack(K, _expand(w[block], d))
+            left = _left_regular(_mul_stack(K, _expand(w[block], d)))
         for j, f in enumerate(fvals):
             F = _expand(f[block], d)
-            terms = _mul_stack(KW, F) if side == LEFT else _mul_stack(F, K)
+            terms = _left_matmul(left, F) if side == LEFT else _mul_stack(F, K)
             # Reducing over axis 0 adds whole operators one after another.
             accs[j] = np.add.reduce(np.concatenate((accs[j][None], terms)),
                                     axis=0)
+        # Freed before the next block is built: holding two blocks' left
+        # matrices costs page faults, not just memory.
+        left = None
     return accs
 
 

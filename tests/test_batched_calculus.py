@@ -4,6 +4,7 @@ bytes, so signed zeros count), in any job order; one stacked solve per
 contour and one kernel set per (table row, side) and contour; the typed
 errors come before any solve."""
 
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -159,10 +160,10 @@ def test_one_solve_per_contour_and_one_kernel_set_per_row_side(monkeypatch,
 
 
 def test_a_calculus_pass_makes_one_solve_per_contour(monkeypatch):
-    """Seed 7 at the default configuration: the batched groups of the
-    calculus suite make 11 contour solves and 68 kernel sets (90 and 90 when
-    every integral made its own); the one-node solves of the resolvent
-    checks stay 198."""
+    """Seed 7 at the default configuration: with one batched call for every
+    integral on the spectral contour c, the calculus suite makes 8 contour
+    solves and 58 kernel sets (90 and 90 when every integral made its own);
+    the one-node solves of the resolvent checks stay 198."""
     solves = _counting(monkeypatch, "_stacked_solve",
                        lambda T, nodes: len(nodes) > 1)
     kernel_sets = _counting(monkeypatch, "_resolvent_blocks",
@@ -171,8 +172,43 @@ def test_a_calculus_pass_makes_one_solve_per_contour(monkeypatch):
     cfg = harness.parse_config(["--suite", "calculus", "--seed", "7"])
     for _ in harness._suite_calculus(cfg, cfg["tol"]):
         pass
-    assert (solves.count(True), kernel_sets.count(True)) == (11, 68)
+    assert (solves.count(True), kernel_sets.count(True)) == (8, 58)
     assert solves.count(False) == 198
+
+
+def test_a_left_row_gathers_one_left_matrix_per_block(monkeypatch):
+    """Three Left jobs of one row on 23 nodes (blocks of 8, 8 and 7): every
+    product gathers its left operand's matrix, and beyond those the terms
+    gather one matrix per block, K·dsJ's, which all three jobs read.  Each
+    job keeps the bytes of its own one-job call."""
+    rng = np.random.default_rng(43)
+    T, c = _one_contour(rng, 23)
+    jobs = [("F5", LEFT, _rand_slice_poly(rng, 5, LEFT)) for _ in range(3)]
+    alone = [poly_calculus_integral(*job, T, c) for job in jobs]
+    gathers = _counting(monkeypatch, "_left_regular", lambda A: len(A))
+    products = _counting(monkeypatch, "_mul_stack", lambda A, B: len(A))
+    got = poly_calculus_integrals(T, c, jobs)
+    assert sorted(gathers) == sorted(products + [8, 8, 7])
+    for G, A in zip(got, alone):
+        assert _same_bytes(G, A)
+
+
+def test_a_left_row_holds_one_blocks_left_matrix_at_a_time():
+    """Four F5 Left jobs at d = 4 and N = 64 peak under two blocks' left
+    matrices (2 x 8 x 128^2 floats, 2 MiB): a matrix that outlives its
+    block is still held while the next block's kernels are built."""
+    rng = np.random.default_rng(61)
+    T, _ = _rand_tuple(rng, 4)
+    c = op_calculus.spectral_circle(T, Multivector.basis(1), 64, 1.25)
+    jobs = [("F5", LEFT, _rand_slice_poly(rng, 6, LEFT)) for _ in range(4)]
+    poly_calculus_integrals(T, c, jobs)  # spectrum and gather rows cached
+    tracemalloc.start()
+    try:
+        poly_calculus_integrals(T, c, jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 # -- errors ------------------------------------------------------------------

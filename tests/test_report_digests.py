@@ -30,3 +30,14 @@ def test_report_at_seed_7_matches_the_committed_digest(suite):
     report = emit(run_suite(cfg), cfg["format"])
     assert (hashlib.sha256(report).hexdigest()
             == MANIFEST["reports"][f"{suite}_7.json"])
+
+
+@pytest.mark.skipif(compare_reports.machine() != MANIFEST["machine"],
+                    reason="manifest made on another machine")
+def test_calculus_report_at_seed_14_matches_the_committed_digest():
+    """Seed 14 is where calculus reports carry failing exact.* and tcost.*
+    statuses, which the one batched call on the spectral contour computes."""
+    cfg = parse_config(["--suite", "calculus", "--seed", "14"])
+    report = emit(run_suite(cfg), cfg["format"])
+    assert (hashlib.sha256(report).hexdigest()
+            == MANIFEST["reports"]["calculus_14.json"])
