@@ -200,6 +200,38 @@ def word_image(word: tuple[str, ...], m: int) -> MappingProxyType:
     return MappingProxyType(terms)
 
 
+def image_terms(images) -> tuple:
+    """The terms n x0^a x_^b of a sequence of canonical images {(a, b): n}
+    as arrays: (a_max, e_max, even, odd), where even and odd hold the terms
+    of even and of odd b.  Each is four (terms, k) arrays for k images: a,
+    the exponent e = b - b % 2 of r, the sign (-1)^(b // 2) and float(n).
+    Column i lists the terms of images[i] in the mapping's order, padded
+    with zeros; a_max and e_max are the largest a and e.  The exponents are
+    stored in the smallest integer type that holds them, which keeps the
+    nine kinds' tables at N = 60 near 0.5 MB."""
+    parts = []
+    for parity in (0, 1):
+        columns = [[(a, b - parity, (-1.0) ** (b // 2), float(n))
+                    for (a, b), n in image.items() if b % 2 == parity]
+                   for image in images]
+        table = np.zeros((4, max(map(len, columns), default=0), len(columns)))
+        for i, column in enumerate(columns):
+            table[:, :len(column), i] = np.reshape(column, (-1, 4)).T
+        parts.append(table)
+    a_max, e_max = (int(max(t[j].max(initial=0) for t in parts))
+                    for j in (0, 1))
+    exponent = np.min_scalar_type(max(a_max, e_max))
+    return (a_max, e_max, *((*t[:2].astype(exponent), *t[2:].copy())
+                            for t in parts))
+
+
+@lru_cache(maxsize=None)
+def word_image_terms(word: tuple[str, ...], N: int) -> tuple:
+    """image_terms of word_image(word, m) for m = 0..N, memoised: column m
+    holds the terms of the image of x^m."""
+    return image_terms([word_image(word, m) for m in range(N + 1)])
+
+
 # -- monomial image tables -----------------------------------------------------
 
 

@@ -18,7 +18,6 @@ rows) and op_calculus's resolvents ((n, 32, d, d) operators, x -> T).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -36,7 +35,7 @@ from .clifford_core import (
     paravector_norm_sq_rows,
 )
 from .errors import OutsideConvergenceDisk, SpectralSphereHit
-from .fueter_ops import _kind_word, word_image
+from .fueter_ops import _kind_word, word_image_terms
 from .slice_poly import LEFT, _check_side
 
 GAMMA_5 = 64.0
@@ -264,32 +263,6 @@ def fine_kernel_rows(kind: str, side: str, S, X) -> np.ndarray:
     return _table_stack(kind, side, S, X, q_power, mv_mul_rows)
 
 
-@lru_cache(maxsize=None)
-def _series_table(word: tuple[str, ...], N: int) -> tuple:
-    """The terms n x0^a x_^b of word_image(word, m), m = 0..N, as arrays:
-    (a_max, e_max, even, odd), where even and odd hold the terms of even and
-    of odd b.  Each is four (terms, N + 1) arrays: a, the exponent
-    e = b - b % 2 of r, the sign (-1)^(b // 2) and float(n).  Column m lists
-    the terms of the image of x^m in the mapping's order, padded with zeros;
-    a_max and e_max are the largest a and e.  The exponents (at most N) are
-    stored in the smallest integer type, which keeps the nine kinds' tables
-    at N = 60 near 0.5 MB."""
-    parts = []
-    for parity in (0, 1):
-        columns = [[(a, b - parity, (-1.0) ** (b // 2), float(n))
-                    for (a, b), n in word_image(word, m).items()
-                    if b % 2 == parity]
-                   for m in range(N + 1)]
-        table = np.zeros((4, max(map(len, columns)), N + 1))
-        for m, column in enumerate(columns):
-            table[:, :len(column), m] = np.reshape(column, (-1, 4)).T
-        parts.append((*table[:2].astype(np.min_scalar_type(N)),
-                      *table[2:].copy()))
-    a_max = max(int(a.max(initial=0)) for a, *_ in parts)
-    e_max = max(int(e.max(initial=0)) for _, e, *_ in parts)
-    return (a_max, e_max, *parts)
-
-
 def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
                        N: int) -> Multivector:
     """Partial sum of the kernel expansion sum_m image_m(x) s^(-1-m), where
@@ -300,10 +273,10 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
     canonical_eval, a term n x0^a x_^b is ((x0^a (-1)^(b // 2)) r^(b - b % 2))
     n, with a factor r before n if b is odd.  alpha_m sums the even-b terms
     and beta_m the odd-b ones in the mapping's order from +0.0, every m at
-    once over the columns of _series_table (a padded term is a signed zero,
-    which leaves such a sum as it is).  The N + 1 terms are one row product
-    of the values alpha_m + omega beta_m with the powers, summed row after
-    row from +0.0.
+    once over the columns of fueter_ops.word_image_terms (a padded term is
+    a signed zero, which leaves such a sum as it is).  The N + 1 terms are
+    one row product of the values alpha_m + omega beta_m with the powers,
+    summed row after row from +0.0.
     """
     _check_side(side)
     if N < 0:
@@ -311,7 +284,7 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
     if paravector_norm_sq(x) >= paravector_norm_sq(s):
         raise OutsideConvergenceDisk("series requires |x| < |s|")
     x0, r, omega = axis_decompose(x)
-    a_max, e_max, even, odd = _series_table(_kind_word(kind), N)
+    a_max, e_max, even, odd = word_image_terms(_kind_word(kind), N)
     # Only the powers the terms use, so ** raises OverflowError just where
     # a term's own power overflows.
     x0_pow = np.array([x0 ** a for a in range(a_max + 1)])

@@ -32,7 +32,7 @@ from .clifford_core import (
     Multivector,
     PARAVECTOR_MASKS,
     VECTOR_MASKS,
-    axis_decompose,
+    axis_rows,
     mv_mul_rows,
     paravector_conjugate,
     paravector_inverse,
@@ -47,7 +47,7 @@ from .errors import (
     SingularSolve,
     SpectrumNotEnclosed,
 )
-from .fueter_ops import _kind_word, word_image
+from .fueter_ops import _kind_word, image_terms, word_image
 from .kernels import (KERNEL_TERMS, _slice_inverse_powers, _sphere_guarded,
                       _table_stack, pseudo_kernel)
 from .slice_poly import (
@@ -256,21 +256,20 @@ def spectral_circle(T: OperatorTuple, J: Multivector, N: int, margin: float):
 _PARAVECTOR_MASKS = list(PARAVECTOR_MASKS)
 
 
-def _stacked_solve(T: OperatorTuple, nodes) -> tuple:
-    """One complex inverse W of the (N, d, d) stack
-    Z = z^2 I - 2 z T0 + T Tbar, at z = u + iv for each node s = u + J v,
-    and the J of each node (None for a real s).  Each node must be farther
-    than 1e-8 from every spectral sphere."""
+def _stacked_solve(T: OperatorTuple, rows: np.ndarray) -> tuple:
+    """One complex inverse W of the (N, d, d) stack Z = z^2 I - 2 z T0 +
+    T Tbar at z = u + iv for each node row s = u + J v, and the (N, 5) rows
+    of each J (zero for a real s), from one axis_rows.  Each node must be
+    farther than 1e-8 from every spectral sphere."""
     spectrum = T.spectrum()
-    zz, tz, units = [], [], []
-    for s in nodes:
-        u, v, J = axis_decompose(s)
+    us, vs, units = axis_rows(rows)
+    zz, tz = [], []
+    for u, v in zip(us, vs):
         if min(hypot(u - u0, v - v0) for (u0, v0) in spectrum) <= 1e-8:
             raise OnSpectrum("s is too close to the S-spectrum")
         z = complex(u, v)
         zz.append(z * z)
         tz.append(2.0 * z)
-        units.append(J)
     Z = (np.array(zz)[:, None, None] * _eye(T.d)
          - np.array(tz)[:, None, None] * T.T0 + T.qmat())
     try:
@@ -280,17 +279,15 @@ def _stacked_solve(T: OperatorTuple, nodes) -> tuple:
     return W, units
 
 
-def _paravector_slots(Wk: np.ndarray, units) -> np.ndarray:
+def _paravector_slots(Wk: np.ndarray, units: np.ndarray) -> np.ndarray:
     """(N, 6, d, d) paravector slots of the complex stack Wk read in the slice
-    of each node: Re Wk, then J_i Im Wk for each e_i (zero for a real node).
-    Only these slots are held for all nodes at once; the 32-blade stack
-    would be 1 MB per power at N = 256, d = 4."""
+    of each node: Re Wk, then J_i Im Wk for the (N, 5) J rows units (+0.0 for
+    a real node).  Only these slots are held for all nodes at once; the
+    32-blade stack would be 1 MB per power at N = 256, d = 4."""
     a = np.zeros((len(Wk), len(PARAVECTOR_MASKS)) + Wk.shape[1:])
     a[:, 0] = Wk.real
-    rows = [n for n, J in enumerate(units) if J is not None]
-    if rows:
-        J = np.array([units[n].c[VECTOR_MASKS] for n in rows])
-        a[rows, 1:] = J[:, :, None, None] * Wk.imag[rows, None]
+    rows = units.any(axis=1)
+    a[rows, 1:] = units[rows, :, None, None] * Wk.imag[rows, None]
     return a
 
 
@@ -305,7 +302,7 @@ def _from_paravector_slots(p: np.ndarray) -> np.ndarray:
 def q_resolvent(T: OperatorTuple, s: Multivector, k: int = 1) -> CliffordMatrix:
     """(s^2 I - 2 s T0 + T Tbar)^(-k), solved in the complexified slice of s:
     the one-node case of the stacked solve of resolvent_rows."""
-    W, units = _stacked_solve(T, [s])
+    W, units = _stacked_solve(T, s.c[None])
     Wk = np.linalg.matrix_power(W, k)
     return CliffordMatrix(_from_paravector_slots(_paravector_slots(Wk, units))[0])
 
@@ -320,16 +317,17 @@ def fine_resolvent(kind: str, side: str, T: OperatorTuple,
                    s: Multivector) -> CliffordMatrix:
     """Resolvent operator of the fine structure: the kernel-formula table
     with x -> T ("SC" is the Cauchy row), factor order as printed."""
-    blocks = _resolvent_blocks(kind, side, T, [s], _stacked_solve(T, [s]))
+    S = s.c[None]
+    blocks = _resolvent_blocks(kind, side, T, S, _stacked_solve(T, S))
     return CliffordMatrix(next(blocks)[0])
 
 
 def resolvent_rows(kind: str, side: str, T: OperatorTuple, contour) -> list:
     """fine_resolvent(kind, side, T, s) at every node s of the contour, bit
     for bit, from one stacked solve of all its nodes."""
-    nodes = contour.nodes
+    S = contour.node_rows
     return [CliffordMatrix(K) for block in
-            _resolvent_blocks(kind, side, T, nodes, _stacked_solve(T, nodes))
+            _resolvent_blocks(kind, side, T, S, _stacked_solve(T, S))
             for K in block]
 
 
@@ -338,20 +336,19 @@ def resolvent_rows(kind: str, side: str, T: OperatorTuple, contour) -> list:
 _BLOCK = 8
 
 
-def _resolvent_blocks(kind: str, side: str, T: OperatorTuple, nodes, solve):
-    """The table row of kind at the nodes, as one (n, 32, d, d) stack per
-    block of _BLOCK nodes.  Every power Q^(-k) that the row needs is a
-    stacked matrix_power of solve, the _stacked_solve(T, nodes) that the
-    caller made (one per contour, shared by every row built on it), and
-    kernels._table_stack builds the row from s I and T with stacked
-    products."""
+def _resolvent_blocks(kind: str, side: str, T: OperatorTuple, S, solve):
+    """The table row of kind at the (N, 32) node rows S, as one
+    (n, 32, d, d) stack per block of _BLOCK nodes.  Every power Q^(-k) that
+    the row needs is a stacked matrix_power of solve, the
+    _stacked_solve(T, S) that the caller made (one per contour, shared by
+    every row built on it), and kernels._table_stack builds the row from
+    s I and T with stacked products."""
     kind = _table_kind(kind)
     W, units = solve
     powers = {k: _paravector_slots(np.linalg.matrix_power(W, k), units)
               for k in {k for _, _, k, _ in KERNEL_TERMS.get(kind, ())}}
     Tc = T.as_clifford().a[None]
-    S = np.array([s.c for s in nodes])
-    for lo in range(0, len(nodes), _BLOCK):
+    for lo in range(0, len(S), _BLOCK):
         block = slice(lo, lo + _BLOCK)
         yield _table_stack(
             kind, side, _expand(S[block], T.d), Tc,
@@ -380,29 +377,24 @@ def _axial_images(images, T: OperatorTuple) -> np.ndarray:
     each with the bits of its own term loop: A and B from +0.0, adding
     float(n) * (T0^a @ (-R)^h), h = b // 2, term after term.
 
-    The powers of T0 and -R are grown once, to the largest a and h of all
-    images, and every term's product is one stacked matmul (one GEMM per
-    pair, as in _mul_stack).  Row t + 1 of G holds the t-th term of each
-    image i in its A column i or B column k + i, and +0.0 elsewhere: a
-    sum from +0.0 is never -0.0, so the zeros add nothing, and one axis-0
-    reduce adds the rows in order."""
-    d, k = T.d, len(images)
-    t, col, a, h = np.array(
-        [(t, i + k * (b % 2), a, b // 2) for i, image in enumerate(images)
-         for t, (a, b) in enumerate(image)], dtype=int).reshape(-1, 4).T
-    c = np.array([float(v) for image in images for v in image.values()])
-    t0_pows, r_pows = [_eye(d)], [_eye(d)]
-    neg_r = -sum(m @ m for m in T.mats[1:])
-    while len(t0_pows) <= a.max(initial=0):
-        t0_pows.append(t0_pows[-1] @ T.T0)
-    while len(r_pows) <= h.max(initial=0):
-        r_pows.append(r_pows[-1] @ neg_r)
-    terms = np.array(t0_pows)[a] @ np.array(r_pows)[h]
-    terms *= c[:, None, None]
-    G = np.zeros((max(map(len, images), default=0) + 1, 2 * k, d, d))
-    G[t + 1, col] = terms
-    A, B = np.split(np.add.reduce(G, axis=0), 2)
-    out = np.zeros((k, DIM, d, d))
+    The terms are the columns of fueter_ops.image_terms; the powers of T0
+    and -R are grown once, to its a_max and e_max // 2, and every term's
+    product is one stacked matmul (one GEMM per pair, as in _mul_stack).  A
+    padded term is I * 0.0 = +0.0, and a sum from +0.0 is never -0.0, so it
+    adds nothing; one axis-0 reduce per parity adds the rows in order."""
+    d = T.d
+    a_max, e_max, even, odd = image_terms(images)
+    t0, neg_r = [_eye(d)], [_eye(d)]
+    minus_r = -sum(m @ m for m in T.mats[1:])
+    while len(t0) <= a_max:
+        t0.append(t0[-1] @ T.T0)
+    while len(neg_r) <= e_max // 2:
+        neg_r.append(neg_r[-1] @ minus_r)
+    t0, neg_r = np.array(t0), np.array(neg_r)
+    A, B = (np.add.reduce((t0[a] @ neg_r[e // 2]) * n[..., None, None],
+                          axis=0, initial=0.0)
+            for a, e, _, n in (even, odd))
+    out = np.zeros((len(images), DIM, d, d))
     out[:, 0] = A
     out[:, VECTOR_MASKS] = np.asarray(T.mats[1:]) @ B[:, None]
     return out
@@ -465,7 +457,7 @@ def poly_calculus_integrals(T: OperatorTuple, c, jobs) -> list:
     if not jobs:
         return []
     contours = _contours_of(c)
-    solves = [_stacked_solve(T, ci.nodes) for ci in contours]
+    solves = [_stacked_solve(T, ci.node_rows) for ci in contours]
     groups = {}
     for i, (kind, side, _) in enumerate(jobs):
         groups.setdefault((_table_kind(kind), side), []).append(i)
@@ -474,7 +466,8 @@ def poly_calculus_integrals(T: OperatorTuple, c, jobs) -> list:
     for (kind, side), members in groups.items():
         for ci, solve in zip(contours, solves):
             sums = node_sum([accs[i] for i in members],
-                            _resolvent_blocks(kind, side, T, ci.nodes, solve),
+                            _resolvent_blocks(kind, side, T, ci.node_rows,
+                                              solve),
                             ci, [_integrand_rows(jobs[i][2], ci)
                                  for i in members], side)
             for i, acc in zip(members, sums):

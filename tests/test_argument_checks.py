@@ -1,11 +1,14 @@
 """An unknown side, a negative series length N, an unknown kind, a negative
 degree, an FD step that is not finite and positive, and an operator tuple
 with a non-finite component raise ValueError at every public entry point
-instead of computing something else."""
+instead of computing something else.  The typed rejections of the engine
+and the harness that no other test reaches are each reached once, with their
+own error."""
 
 import numpy as np
 import pytest
 
+from finestruct import harness
 from finestruct.clifford_core import Multivector
 from finestruct.contour import (
     circle,
@@ -13,13 +16,22 @@ from finestruct.contour import (
     slice_integral,
     word_eval,
 )
+from finestruct.errors import (
+    ConfigError,
+    EigensolverFailure,
+    NotIntrinsic,
+    SingularSolve,
+    UnknownSuite,
+)
 from finestruct.fueter_ops import (
     fd_apply,
     fd_apply_batch,
     monomial_image,
+    word_degrees,
     word_image,
 )
 from finestruct.harness import _rand_slice_poly, _rand_tuple
+from finestruct.fueter_ops import AxialPoly, axial_parts, vekua_residual
 from finestruct.kernels import (
     cauchy_kernel,
     cauchy_kernel_batch,
@@ -29,6 +41,7 @@ from finestruct.kernels import (
     fine_kernel_series,
     fine_kernel_via_f5,
     kernel_from_table,
+    pseudo_kernel,
 )
 from finestruct.op_calculus import (
     OperatorTuple,
@@ -38,9 +51,17 @@ from finestruct.op_calculus import (
     poly_calculus_exact,
     poly_calculus_integral,
     poly_calculus_integrals,
+    product_rule_residual,
     resolvent_rows,
+    s_spectrum,
 )
-from finestruct.slice_poly import LEFT, SlicePolynomial
+from finestruct.slice_poly import (
+    LEFT,
+    RIGHT,
+    CanonicalPoly,
+    SlicePolynomial,
+    to_canonical,
+)
 
 S = Multivector.paravector(2.0, 0.3, 0.0, 0.1)
 X = Multivector.paravector(0.3, 0.1, -0.2, 0.0)
@@ -191,3 +212,124 @@ def test_non_finite_operator_component_is_rejected(bad):
     mats[3][0, 0] = bad
     with pytest.raises(ValueError, match="must be finite"):
         OperatorTuple(mats)
+
+
+# -- every other typed rejection ---------------------------------------------
+
+
+def _assign_coefficients(mv):
+    mv.c = np.zeros(32)
+
+
+def _failing_eigensolver(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    return s_spectrum(_operator_fixture()[0])
+
+
+def _config_file_without_equals(tmp_path):
+    path = tmp_path / "verify.cfg"
+    path.write_text("seed 7\n", encoding="utf-8")
+    return harness.parse_config(["--config", str(path)])
+
+
+def _suite_raising_an_engine_error(monkeypatch):
+    def suite(cfg, tol):
+        raise SingularSolve("Singular matrix")
+
+    monkeypatch.setitem(harness._SUITE_FUNCS, "structures", suite)
+    return harness.main(["--suite", "structures"])
+
+
+def _equal_canonical_polys():
+    return to_canonical(SlicePolynomial.monomial(2)).equals(
+        to_canonical(SlicePolynomial.monomial(3)))
+
+
+# name -> (call of monkeypatch and tmp_path, the error it raises or the value
+# it returns, the error's message or a part of what it writes to stderr).
+REJECTIONS = {
+    "Multivector of 31 coefficients": (
+        lambda mp, tmp: Multivector(np.zeros(31)),
+        ValueError, "expected 32 blade coefficients"),
+    "Multivector.c assigned": (
+        lambda mp, tmp: _assign_coefficients(X),
+        AttributeError, "Multivector is immutable"),
+    "Multivector.paravector of 6 vector parts": (
+        lambda mp, tmp: Multivector.paravector(0.0, *range(6)),
+        ValueError, "too many vector components"),
+    "word_degrees of an unknown letter": (
+        lambda mp, tmp: word_degrees(("X",)),
+        ValueError, "unknown letter 'X'"),
+    "monomial_image of a negative degree": (
+        lambda mp, tmp: monomial_image("D", -1),
+        ValueError, "m must be nonnegative"),
+    "fd_apply_batch of an unknown letter": (
+        lambda mp, tmp: fd_apply_batch(("X",), _never_called, X),
+        ValueError, "unknown letter 'X'"),
+    "axial_parts of a right polynomial": (
+        lambda mp, tmp: axial_parts(CanonicalPoly(side=RIGHT)),
+        ValueError, "defined for left polynomials"),
+    "vekua_residual of an unknown system": (
+        lambda mp, tmp: vekua_residual("Nope", AxialPoly(), AxialPoly(),
+                                       (0.0, 1.0)),
+        ValueError, "unknown system 'Nope'"),
+    "pseudo_kernel of an unknown variant": (
+        lambda mp, tmp: pseudo_kernel("other", S, X),
+        ValueError, "unknown variant 'other'"),
+    "cauchy_kernel of form III": (
+        lambda mp, tmp: cauchy_kernel(LEFT, "III", S, X),
+        ValueError, "form must be 'I' or 'II', got 'III'"),
+    "fine_kernel_via_f5 of F5": (
+        lambda mp, tmp: fine_kernel_via_f5("F5", LEFT, S, X),
+        ValueError, "no F5 combination for kind 'F5'"),
+    "OperatorTuple of 5 matrices": (
+        lambda mp, tmp: OperatorTuple([np.eye(2)] * 5),
+        ValueError, "expected six matrices"),
+    "OperatorTuple of unequal shapes": (
+        lambda mp, tmp: OperatorTuple([np.eye(2)] * 5 + [np.eye(3)]),
+        ValueError, "square of equal size"),
+    "s_spectrum when the eigensolver fails": (
+        lambda mp, tmp: _failing_eigensolver(mp),
+        EigensolverFailure, "no convergence"),
+    "product_rule_residual of a non-real f": (
+        lambda mp, tmp: product_rule_residual(
+            SlicePolynomial([E1], LEFT), SlicePolynomial.monomial(1),
+            *_operator_fixture()[:2]),
+        NotIntrinsic, "real coefficients"),
+    "to_canonical of an int": (
+        lambda mp, tmp: to_canonical(3),
+        TypeError, "cannot canonicalize"),
+    "CanonicalPoly.equals of different polynomials": (
+        lambda mp, tmp: _equal_canonical_polys(), False, ""),
+    "parse_config of an unknown flag": (
+        lambda mp, tmp: harness.parse_config(["--bogus"]),
+        ConfigError, "invalid command line"),
+    "parse_config of a config line without =": (
+        lambda mp, tmp: _config_file_without_equals(tmp),
+        ConfigError, "verify.cfg:1: expected key=value"),
+    "parse_config of --tol without =": (
+        lambda mp, tmp: harness.parse_config(["--tol", "foo"]),
+        ConfigError, "--tol expects key=value, got 'foo'"),
+    "run_suite of an unknown suite": (
+        lambda mp, tmp: harness.run_suite(
+            {**harness.parse_config([]), "suite": "nope"}),
+        UnknownSuite, "unknown suite 'nope'"),
+    "main when a suite raises an engine error": (
+        lambda mp, tmp: _suite_raising_an_engine_error(mp),
+        2, "runtime error: Singular matrix"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_every_other_typed_rejection_is_reached(name, monkeypatch, tmp_path,
+                                               capsys):
+    call, outcome, message = REJECTIONS[name]
+    if isinstance(outcome, type):
+        with pytest.raises(outcome, match=message):
+            call(monkeypatch, tmp_path)
+    else:
+        assert call(monkeypatch, tmp_path) == outcome
+        assert message in capsys.readouterr().err

@@ -1,7 +1,8 @@
 """The stacked resolvent solve: resolvent_rows gives fine_resolvent at every
 node of a contour, and q_resolvent gives its per-point formula, both compared
 bit for bit (raw bytes, so signed zeros count); one solve and one axis
-decomposition per point; the typed errors of the solve."""
+decomposition per stacked solve, matching the per-node split; the typed
+errors of the solve."""
 
 import itertools
 from math import hypot
@@ -154,6 +155,63 @@ def test_q_resolvent_raises_on_spectrum():
         q_resolvent(_diagonal_tuple(), Multivector.paravector(1.0, 0.5 + 5e-9))
 
 
+# -- the row solve against the per-node split ----------------------------------
+
+
+def _reference_solve(T, nodes):
+    """_stacked_solve as it was, splitting each node through axis_decompose:
+    W and the J of each node (None for a real node)."""
+    spectrum = T.spectrum()
+    zz, tz, units = [], [], []
+    for s in nodes:
+        u, v, J = axis_decompose(s)
+        if min(hypot(u - u0, v - v0) for (u0, v0) in spectrum) <= 1e-8:
+            raise OnSpectrum("s is too close to the S-spectrum")
+        z = complex(u, v)
+        zz.append(z * z)
+        tz.append(2.0 * z)
+        units.append(J)
+    Z = (np.array(zz)[:, None, None] * np.eye(T.d)
+         - np.array(tz)[:, None, None] * T.T0 + T.qmat())
+    return np.linalg.inv(Z), units
+
+
+def _reference_slots(Wk, units):
+    """The paravector slots of Wk with each node's J as a Multivector."""
+    a = np.zeros((len(Wk), len(PARAVECTOR_MASKS)) + Wk.shape[1:])
+    a[:, 0] = Wk.real
+    rows = [n for n, J in enumerate(units) if J is not None]
+    if rows:
+        J = np.array([units[n].c[list(PARAVECTOR_MASKS[1:])] for n in rows])
+        a[rows, 1:] = J[:, :, None, None] * Wk.imag[rows, None]
+    return a
+
+
+def _assert_solve_matches_the_per_node_split(T, S, nodes):
+    W, units = op_calculus._stacked_solve(T, S)
+    ref_W, ref_units = _reference_solve(T, nodes)
+    assert W.tobytes() == ref_W.tobytes()
+    assert [not row.any() for row in units] == [J is None for J in ref_units]
+    for k in (1, 2, 3):
+        Wk = np.linalg.matrix_power(W, k)
+        assert (op_calculus._paravector_slots(Wk, units).tobytes()
+                == _reference_slots(Wk, ref_units).tobytes()), k
+
+
+def test_the_row_solve_equals_the_per_node_split():
+    rng = np.random.default_rng(17)
+    T, _ = _rand_tuple(rng, 3)
+    c = circle(0.0, 1.25 * T.norm_bound(), _unit(rng), 16)
+    # Node 0 (sin 0 = 0) is real, so its J row is zero; node 8 is not,
+    # since sin(pi) rounds to 1.2e-16.
+    assert axis_decompose(c.nodes[0])[2] is None
+    assert axis_decompose(c.nodes[8])[2] is not None
+    _assert_solve_matches_the_per_node_split(T, c.node_rows, c.nodes)
+    s = Multivector.scalar(3.0 + T.norm_bound())
+    _assert_solve_matches_the_per_node_split(T, s.c[None], [s])
+    assert _same_bytes(q_resolvent(T, s, 2), _reference_q_resolvent(T, s, 2))
+
+
 def _counting(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -167,11 +225,14 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_one_decomposition_and_one_solve_per_point(monkeypatch):
+    """One axis_rows call on the node rows and one inverse per stacked
+    solve: a point makes one of each, and so does a whole 16-node contour
+    (16 decompositions and 1 inverse when each node was split alone)."""
     rng = np.random.default_rng(9)
     T, _ = _rand_tuple(rng, 3)
     s = Multivector.paravector(*(rng.normal(size=6) * 2.0))
     T.spectrum()
-    decompositions = _counting(monkeypatch, op_calculus, "axis_decompose")
+    decompositions = _counting(monkeypatch, op_calculus, "axis_rows")
     solves = _counting(monkeypatch, op_calculus.np.linalg, "inv")
     q_resolvent(T, s, 2)
     assert (len(decompositions), len(solves)) == (1, 1)
@@ -179,4 +240,4 @@ def test_one_decomposition_and_one_solve_per_point(monkeypatch):
     assert (len(decompositions), len(solves)) == (2, 2)
     c = circle(0.0, 1.25 * T.norm_bound(), Multivector.basis(1), 16)
     resolvent_rows("Dbar", RIGHT, T, c)
-    assert (len(decompositions), len(solves)) == (18, 3)
+    assert (len(decompositions), len(solves)) == (3, 3)

@@ -1,7 +1,7 @@
-"""Each shared rule has one copy: the space registry in fueter_ops, the
-contour node sum in op_calculus, the sphere guard and the slice-power chain in
-kernels, the axial decomposition in clifford_core, and the canonical
-evaluator in slice_poly.  These tests compare
+"""Each shared rule has one copy: the space registry and the term table of
+word images in fueter_ops, the contour node sum in op_calculus, the sphere
+guard and the slice-power chain in kernels, the axial decomposition in
+clifford_core, and the canonical evaluator in slice_poly.  These tests compare
 each with the copies it replaced, kept here as references, bit for bit."""
 
 import sys
@@ -10,7 +10,7 @@ from math import pi
 import numpy as np
 import pytest
 
-from finestruct import contour
+from finestruct import contour, fueter_ops, kernels, op_calculus
 from finestruct.clifford_core import (
     PARAVECTOR_MASKS,
     ZERO,
@@ -29,7 +29,9 @@ from finestruct.fueter_ops import (
     _BLOCK_DEGREES,
     _DEGREE_TAG,
     KIND_WORDS,
+    image_terms,
     word_image,
+    word_image_terms,
 )
 from finestruct.harness import (
     ALL_KINDS,
@@ -382,6 +384,78 @@ def test_axis_decompose_is_the_one_row_case():
         else:
             assert got[2].c.tobytes() == want[2].c.tobytes()
     assert on_axis > 100
+
+
+# -- the term table of word images ---------------------------------------------------
+
+
+def _reference_series_table(word, N):
+    """kernels._series_table as it was before fueter_ops.image_terms."""
+    parts = []
+    for parity in (0, 1):
+        columns = [[(a, b - parity, (-1.0) ** (b // 2), float(n))
+                    for (a, b), n in word_image(word, m).items()
+                    if b % 2 == parity]
+                   for m in range(N + 1)]
+        table = np.zeros((4, max(map(len, columns)), N + 1))
+        for m, column in enumerate(columns):
+            table[:, :len(column), m] = np.reshape(column, (-1, 4)).T
+        parts.append((*table[:2].astype(np.min_scalar_type(N)),
+                      *table[2:].copy()))
+    a_max = max(int(a.max(initial=0)) for a, *_ in parts)
+    e_max = max(int(e.max(initial=0)) for _, e, *_ in parts)
+    return (a_max, e_max, *parts)
+
+
+def _assert_same_tables(got, want):
+    assert got[:2] == want[:2]
+    for part, ref in zip(got[2:], want[2:]):
+        assert len(part) == len(ref) == 4
+        for x, y in zip(part, ref):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_WORDS))
+def test_word_image_terms_is_the_term_table_of_the_word_images(kind):
+    word = KIND_WORDS[kind]
+    for N in (0, 1, 12, 40):
+        got = word_image_terms(word, N)
+        _assert_same_tables(got, image_terms([word_image(word, m)
+                                              for m in range(N + 1)]))
+        _assert_same_tables(got, _reference_series_table(word, N))
+
+
+def test_the_term_table_of_no_images_is_empty():
+    a_max, e_max, *parts = image_terms([])
+    assert (a_max, e_max) == (0, 0)
+    for part in parts:
+        assert [x.size for x in part] == [0, 0, 0, 0]
+    T, _ = _rand_tuple(np.random.default_rng(61), 2, 0.3)
+    assert op_calculus._axial_images([], T).shape == (0, 32, 2, 2)
+
+
+def test_kernels_and_op_calculus_read_the_one_term_table(monkeypatch):
+    assert not hasattr(kernels, "_series_table")
+    assert kernels.word_image_terms is fueter_ops.word_image_terms
+    assert op_calculus.image_terms is fueter_ops.image_terms
+    calls = []
+
+    def counted(original):
+        def wrapper(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "word_image_terms",
+                        counted(fueter_ops.word_image_terms))
+    monkeypatch.setattr(op_calculus, "image_terms",
+                        counted(fueter_ops.image_terms))
+    fine_kernel_series("F5", LEFT, Multivector.paravector(2.0, 0.5),
+                       Multivector.paravector(0.3, 0.1, 0.2), 8)
+    T, _ = _rand_tuple(np.random.default_rng(67), 2, 0.3)
+    op_calculus.canonical_operator_eval(word_image(("Delta",), 5), T)
+    assert calls == ["word_image_terms", "image_terms"]
 
 
 # -- the canonical evaluator -------------------------------------------------------
