@@ -183,13 +183,18 @@ ZERO = Multivector()
 ONE = Multivector.scalar(1.0)
 
 
-# SIGNED_INDEX[a, k] picks SIGN_TABLE[a, a ^ k] * B[a ^ k] out of the
-# concatenation [B, -B]: a ^ k when the sign is +1, 32 + (a ^ k) when it is -1.
-SIGNED_INDEX = INDEX_TABLE + DIM * (
-    np.take_along_axis(SIGN_TABLE, INDEX_TABLE, axis=1) < 0)
+# The sign of the blade product at output slot k: LEFT_SIGN[a, k] =
+# SIGN_TABLE[a, a ^ k] for left blade a, RIGHT_SIGN[b, k] = SIGN_TABLE[b ^ k, b]
+# for right blade b.
+LEFT_SIGN = np.take_along_axis(SIGN_TABLE, INDEX_TABLE, axis=1)
+RIGHT_SIGN = SIGN_TABLE[INDEX_TABLE, np.arange(DIM)].T
 
-# LEFT_SIGNED[k, b] picks SIGN_TABLE[k ^ b, b] * A[k ^ b] out of [A, -A].
-LEFT_SIGNED = INDEX_TABLE + DIM * (SIGN_TABLE[INDEX_TABLE, np.arange(DIM)] < 0)
+# SIGNED_INDEX[a, k] picks LEFT_SIGN[a, k] * B[a ^ k] out of the concatenation
+# [B, -B]: a ^ k when the sign is +1, 32 + (a ^ k) when it is -1.
+SIGNED_INDEX = INDEX_TABLE + DIM * (LEFT_SIGN < 0)
+
+# LEFT_SIGNED[k, b] picks RIGHT_SIGN[b, k] * A[k ^ b] out of [A, -A].
+LEFT_SIGNED = INDEX_TABLE + DIM * (RIGHT_SIGN.T < 0)
 
 
 def _gather_product(ac: np.ndarray, bc: np.ndarray) -> np.ndarray:
@@ -220,38 +225,52 @@ def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     A one-row operand broadcasts against the other's rows.  One row times
     one row is mv_mul's single gather.  Otherwise the sum runs from +0.0
-    over the operand with fewer blades nonzero in any row:
+    over the operand with fewer blades nonzero in any row, one step per
+    blade, and each step adds one column of that operand times one signed
+    gather of the other (the scalar blade's gather is the identity):
     - over A's blades a, in ascending order (A no denser than B, or A not
-      finite): step a adds A[:, a] * SIGN_TABLE[a, a ^ k] * B[:, a ^ k] to
+      finite): step a adds A[:, a] * (LEFT_SIGN[a, k] * B[:, a ^ k]) to
       every slot k;
-    - over B's nb blades (B sparser and A finite): step t adds, to each
-      slot k, the term of the t-th left blade a, in ascending order, with
-      a ^ k among B's blades, as two (n, 32) column gathers.
-    Either way each slot takes its nonzero terms in ascending order of a,
-    as mv_mul does.  A skipped term, or a term of a row whose factor is
-    zero, is a signed zero (the other factor being finite), and adding a
-    signed zero never changes a sum started at +0.0, which cannot become
-    -0.0; so each row gets the bits of its own mv_mul.  A non-finite A
-    stays on the loop over A, where inf * 0 gives NaN as in mv_mul.
-    Temporaries stay (n, 32).
+    - over B's one or two blades b (B sparser and A finite): step b adds
+      (RIGHT_SIGN[b, k] * A[:, b ^ k]) * B[:, b];
+    - over B's nb >= 3 blades (B sparser and A finite): step t adds, to
+      each slot k, the term of the t-th left blade a, in ascending order,
+      with a ^ k among B's blades, as two (n, 32) column gathers.
+    A sign is +-1, so folding it into either factor gives the IEEE product
+    of mv_mul.  The first and third loops add each slot's nonzero terms in
+    ascending order of a, as mv_mul does.  The second adds at most two per
+    slot, in ascending order of b, and for doubles x and y (+0.0 + x) + y
+    is (+0.0 + y) + x, signed zeros and inf - inf included.  A skipped
+    term, or a term of a row whose factor is zero, is a signed zero (the
+    other factor being finite, hence the loops over B's blades only for a
+    finite A), and adding a signed zero never changes a sum started at
+    +0.0, which cannot become -0.0; so each row gets the bits of its own
+    mv_mul.  A non-finite A stays on the loop over A, where inf * 0 gives
+    NaN as in mv_mul.  Temporaries stay (n, 32).
     """
     if len(A) == len(B) == 1:
         return _gather_product(A[0], B[0])[None]
-    signed = np.concatenate((B, -B), axis=1)
     acc = np.zeros((max(len(A), len(B)), DIM))
     # A blade counts as nonzero if it is nonzero (not +-0.0) in any row.
     left = np.flatnonzero(A.any(axis=0))
     keep = B.any(axis=0)
-    nb = np.count_nonzero(keep)
-    if nb < len(left) and np.isfinite(A).all():
+    right = np.flatnonzero(keep)
+    if len(right) >= len(left) or not np.isfinite(A).all():
+        for a in left:
+            y = B.take(INDEX_TABLE[a], axis=1) * LEFT_SIGN[a] if a else B
+            _madd(acc, A[:, a, None], y)
+    elif len(right) <= 2:
+        for b in right:
+            x = A.take(INDEX_TABLE[b], axis=1) * RIGHT_SIGN[b] if b else A
+            _madd(acc, x, B[:, b, None])
+    else:
+        signed = np.concatenate((B, -B), axis=1)
+        nb = len(right)
         # a_idx[t, k]: the t-th a, ascending, whose partner a ^ k is kept.
         a_idx = np.argsort(~keep[INDEX_TABLE], axis=0, kind="stable")[:nb]
         s_idx = np.take_along_axis(SIGNED_INDEX, a_idx, axis=0)
         for a_t, s_t in zip(a_idx, s_idx):
             _madd(acc, A[:, a_t], signed[:, s_t])
-    else:
-        for a in left:
-            _madd(acc, A[:, a, None], signed[:, SIGNED_INDEX[a]])
     return acc
 
 

@@ -225,10 +225,13 @@ def image_terms(images) -> tuple:
                             for t in parts))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def word_image_terms(word: tuple[str, ...], N: int) -> tuple:
-    """image_terms of word_image(word, m) for m = 0..N, memoised: column m
-    holds the terms of the image of x^m."""
+    """image_terms of word_image(word, m) for m = 0..N: column m holds the
+    terms of the image of x^m.  Memoised for the last (word, N) only: the
+    kernel and resolvent series ask for one kind's table for every sample
+    and side in turn, and one table held keeps a pass's peak memory where
+    a fresh build per call left it."""
     return image_terms([word_image(word, m) for m in range(N + 1)])
 
 

@@ -18,6 +18,7 @@ rows) and op_calculus's resolvents ((n, 32, d, d) operators, x -> T).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -87,13 +88,21 @@ def _q_inverse_power(s: Multivector, x: Multivector, k: int) -> Multivector:
     return inverse_power(_guarded_q(s, x), k)
 
 
-def _slice_inverse_powers(s: Multivector, N: int) -> list:
-    """[s^-1, s^-2, ..., s^-(N+1)] as multivectors."""
-    inv = paravector_inverse(s)
+def _slice_inverse_powers(s: Multivector, N: int) -> tuple:
+    """(s^-1, s^-2, ..., s^-(N+1)) as multivectors, memoised for the last
+    (s, N): a series evaluates both sides, or every kind, at one s in turn.
+    The key is the raw bytes of s, as Multivector equality takes -0.0 for
+    +0.0."""
+    return _inverse_powers(s.c.tobytes(), N)
+
+
+@lru_cache(maxsize=1)
+def _inverse_powers(raw: bytes, N: int) -> tuple:
+    inv = paravector_inverse(Multivector(np.frombuffer(raw)))
     out = [inv]
     for _ in range(N):
         out.append(out[-1] * inv)
-    return out
+    return tuple(out)
 
 
 # Factors of the kernel-formula table.

@@ -47,7 +47,7 @@ from .errors import (
     SingularSolve,
     SpectrumNotEnclosed,
 )
-from .fueter_ops import _kind_word, image_terms, word_image
+from .fueter_ops import _kind_word, image_terms, word_image_terms
 from .kernels import (KERNEL_TERMS, _slice_inverse_powers, _sphere_guarded,
                       _table_stack, pseudo_kernel)
 from .slice_poly import (
@@ -374,16 +374,24 @@ def canonical_operator_eval(image, T: OperatorTuple) -> CliffordMatrix:
 
 def _axial_images(images, T: OperatorTuple) -> np.ndarray:
     """The (k, 32, d, d) stack of canonical_operator_eval over k images,
-    each with the bits of its own term loop: A and B from +0.0, adding
-    float(n) * (T0^a @ (-R)^h), h = b // 2, term after term.
+    each with the bits of its own term loop: _axial_terms of their
+    fueter_ops.image_terms."""
+    return _axial_terms(image_terms(images), T)
 
-    The terms are the columns of fueter_ops.image_terms; the powers of T0
-    and -R are grown once, to its a_max and e_max // 2, and every term's
-    product is one stacked matmul (one GEMM per pair, as in _mul_stack).  A
-    padded term is I * 0.0 = +0.0, and a sum from +0.0 is never -0.0, so it
-    adds nothing; one axis-0 reduce per parity adds the rows in order."""
+
+def _axial_terms(table, T: OperatorTuple) -> np.ndarray:
+    """The (k, 32, d, d) stack of canonical_operator_eval over the k images
+    of an image_terms table, each with the bits of its own term loop: A and
+    B from +0.0, adding float(n) * (T0^a @ (-R)^h), h = b // 2, term after
+    term.
+
+    The powers of T0 and -R are grown once, to the table's a_max and
+    e_max // 2, and every term's product is one stacked matmul (one GEMM
+    per pair, as in _mul_stack).  A padded term is I * 0.0 = +0.0, and a
+    sum from +0.0 is never -0.0, so it adds nothing; one axis-0 reduce per
+    parity adds the rows in order."""
     d = T.d
-    a_max, e_max, even, odd = image_terms(images)
+    a_max, e_max, even, odd = table
     t0, neg_r = [_eye(d)], [_eye(d)]
     minus_r = -sum(m @ m for m in T.mats[1:])
     while len(t0) <= a_max:
@@ -394,7 +402,7 @@ def _axial_images(images, T: OperatorTuple) -> np.ndarray:
     A, B = (np.add.reduce((t0[a] @ neg_r[e // 2]) * n[..., None, None],
                           axis=0, initial=0.0)
             for a, e, _, n in (even, odd))
-    out = np.zeros((len(images), DIM, d, d))
+    out = np.zeros((even[0].shape[1], DIM, d, d))
     out[:, 0] = A
     out[:, VECTOR_MASKS] = np.asarray(T.mats[1:]) @ B[:, None]
     return out
@@ -403,15 +411,17 @@ def _axial_images(images, T: OperatorTuple) -> np.ndarray:
 def _image_sum(kind: str, side: str, T: OperatorTuple, coeffs) -> CliffordMatrix:
     """Sum over m of image_m(T) * coeffs[m] (left) or coeffs[m] * image_m(T)
     (right), where image_m is the image of x^m under the kind's word, all
-    evaluated at T in one _axial_images; a zero coefficient adds nothing and
-    is skipped."""
+    evaluated at T in one _axial_terms of the memoised
+    fueter_ops.word_image_terms; a zero coefficient adds nothing and is
+    skipped.  Each image's column is reduced on its own, so the images of
+    skipped coefficients leave the others' bits as they are."""
     _check_side(side)
     word = _kind_word(_table_kind(kind))
-    nonzero = [(m, coeff) for m, coeff in enumerate(coeffs)
-               if not coeff.is_zero()]
-    stack = _axial_images([word_image(word, m) for m, _ in nonzero], T)
+    stack = _axial_terms(word_image_terms(word, len(coeffs) - 1), T)
     out = CliffordMatrix.zero(T.d)
-    for (_, coeff), block in zip(nonzero, stack):
+    for coeff, block in zip(coeffs, stack):
+        if coeff.is_zero():
+            continue
         image = CliffordMatrix(block)
         out = out + (image * coeff if side == LEFT else coeff * image)
     return out

@@ -132,6 +132,95 @@ def test_dense_times_two_blade_rows_makes_two_steps(monkeypatch):
     assert len(steps) == 2
 
 
+def _record_steps(monkeypatch):
+    """Replace clifford_core._madd by a copy that records the widths of
+    each step's two factors."""
+    steps = []
+    madd = clifford_core._madd
+
+    def recorded(acc, x, y):
+        steps.append((x.shape[1], y.shape[1]))
+        madd(acc, x, y)
+
+    monkeypatch.setattr(clifford_core, "_madd", recorded)
+    return steps
+
+
+SPARSE_RIGHTS = [(b,) for b in range(32)] + [(0, 1), (3, 17), (30, 31)]
+
+
+@pytest.mark.parametrize("right", SPARSE_RIGHTS, ids=str)
+def test_mv_mul_rows_with_a_one_or_two_blade_operand(right):
+    """The loop over B's blades (a dense or paravector A against one or two
+    B blades) and its mirror, with and without blade 0, on full rows and
+    on one-row broadcasts on either side; the rows carry +0.0, -0.0 and an
+    all-zero row."""
+    rng = np.random.default_rng(sum(right) + 100 * len(right))
+    n = 7
+    X = _rows(rng, n, list(right))
+    for blades in (range(32), (0, 1, 2, 4, 8, 16), (5, 9)):
+        A = _rows(rng, n, list(blades))
+        _check_both_orders(A, X)
+        _check_both_orders(A[:1], X)
+        _check_both_orders(A, X[1:2])
+        _check_both_orders(np.broadcast_to(A[2], A.shape), X)
+
+
+@pytest.mark.parametrize("right", ((0, 1), (3, 17), (30, 31)), ids=str)
+def test_two_blade_rows_whose_terms_overflow_to_both_infinities(right):
+    """Finite operands whose two terms in a slot are +inf and -inf (NaN),
+    inf and inf, or inf and a finite value: the order of the two terms
+    must not show in the sum."""
+    rng = np.random.default_rng(9)
+    A = rng.choice((-1e200, 1e200, 3.0, -0.0), size=(16, 32))
+    X = np.zeros((16, 32))
+    X[:, list(right)] = rng.choice((-1e200, 1e200, 2.0), size=(16, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for P, Q in ((A, X), (X, A)):
+            got = mv_mul_rows(P, Q)
+            assert got.tobytes() == _per_row(P, Q).tobytes()
+            assert np.isnan(got).any() and np.isinf(got).any()
+            assert np.isfinite(got).any()
+
+
+@pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+def test_a_non_finite_left_operand_loops_over_its_own_blades(monkeypatch, bad):
+    """Against a two-blade B, a non-finite dense A keeps the loop over A
+    ((n, 1) columns of A, one step per blade of A), so an infinite A blade
+    still meets B's zero blades and gives NaN there, as in mv_mul."""
+    steps = _record_steps(monkeypatch)
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((4, 32))
+    A[1, 6] = bad
+    X = np.zeros((4, 32))
+    X[:, [0, 2]] = rng.standard_normal((4, 2))
+    with np.errstate(invalid="ignore"):
+        got = mv_mul_rows(A, X)
+        assert got.tobytes() == _per_row(A, X).tobytes()
+    # Slots 6 and 6 ^ 2 pair blade 6 with B's two blades; the other 30
+    # pair it with a zero of B.
+    assert np.isnan(got[1]).sum() == (32 if np.isnan(bad) else 30)
+    assert not np.isnan(got[[0, 2, 3]]).any()
+    assert steps == [(1, 32)] * 32
+
+
+@pytest.mark.parametrize("right", ((0,), (7,), (0, 1), (3, 17), (1, 2, 4)),
+                         ids=str)
+def test_a_dense_times_sparse_product_makes_one_step_per_right_blade(
+        monkeypatch, right):
+    """One (n, 32) gather of A times one (n, 1) column of B per blade of B
+    for one or two blades; from three blades on, the ranked loop's two
+    (n, 32) gathers per step."""
+    steps = _record_steps(monkeypatch)
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((5, 32))
+    X = np.zeros((5, 32))
+    X[:, list(right)] = rng.standard_normal((5, len(right)))
+    assert mv_mul_rows(A, X).tobytes() == _per_row(A, X).tobytes()
+    width = 1 if len(right) <= 2 else 32
+    assert steps == [(32, width)] * len(right)
+
+
 @pytest.mark.parametrize("center, radius, J, N", (
     (0.0, 1.0, J1, 17), (5.0, 1.2, Multivector.basis(2), 33),
     (-0.3, 0.7, J5, 257), (-0.0, 2.5, Multivector.basis(16), 19)))

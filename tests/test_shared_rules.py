@@ -458,6 +458,61 @@ def test_kernels_and_op_calculus_read_the_one_term_table(monkeypatch):
     assert calls == ["word_image_terms", "image_terms"]
 
 
+def test_a_resolvent_series_reads_the_memoised_term_table(monkeypatch):
+    """_image_sum takes fueter_ops.word_image_terms as it is, for a
+    resolvent series and for a polynomial with a zero coefficient alike,
+    and builds no table of its own.  The series keeps the bits of its
+    images summed one by one."""
+    tables = []
+
+    def counted(images):
+        tables.append(len(images))
+        return image_terms(images)
+
+    monkeypatch.setattr(op_calculus, "image_terms", counted)
+    T, _ = _rand_tuple(np.random.default_rng(71), 2, 0.3)
+    s = Multivector.paravector(1.5, 0.2, -0.1)
+    got = op_calculus.fine_resolvent_series("Dbar", LEFT, T, s, 12)
+    assert tables == []
+    P = SlicePolynomial([Multivector.scalar(1.0), ZERO,
+                         Multivector.scalar(2.0)], LEFT)
+    got_poly = op_calculus.poly_calculus_exact("Dbar", LEFT, P, T)
+    assert tables == []
+
+    def one_by_one(coeffs):
+        want = CliffordMatrix.zero(T.d)
+        for m, coeff in enumerate(coeffs):
+            if not coeff.is_zero():
+                image = op_calculus.canonical_operator_eval(
+                    word_image(KIND_WORDS["Dbar"], m), T)
+                want = want + image * coeff
+        return want
+
+    want = one_by_one(kernels._slice_inverse_powers(s, 12))
+    assert got.a.tobytes() == want.a.tobytes()
+    assert got_poly.a.tobytes() == one_by_one(P.coeffs).a.tobytes()
+
+
+def test_slice_inverse_powers_are_shared_per_raw_s():
+    """The powers of one s are built once and shared by the next callers
+    with the same raw bytes; +0.0 and -0.0 in a slot are different keys,
+    though the two multivectors compare equal."""
+    s = Multivector.paravector(0.9, 0.3, 0.0, -0.4)
+    t = Multivector.paravector(0.9, 0.3, -0.0, -0.4)
+    assert s == t
+    got = kernels._slice_inverse_powers(s, 20)
+    assert kernels._slice_inverse_powers(s, 20) is got
+    assert kernels._slice_inverse_powers(t, 20) is not got
+    for x in (s, t):
+        inv = paravector_inverse(x)
+        want = [inv]
+        for _ in range(20):
+            want.append(want[-1] * inv)
+        got = kernels._slice_inverse_powers(x, 20)
+        assert isinstance(got, tuple)
+        assert [p.c.tobytes() for p in got] == [p.c.tobytes() for p in want]
+
+
 # -- the canonical evaluator -------------------------------------------------------
 
 
