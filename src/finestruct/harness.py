@@ -13,7 +13,7 @@ import io
 import json
 import sys
 import time
-from math import isnan, sqrt
+from math import hypot, isnan, sqrt
 
 import numpy as np
 
@@ -262,16 +262,32 @@ def _q_norm(s: list, x: list) -> float:
 
 def _seed_kernel_pair(rng, q_lo: float = 0.5, q_hi: float = 1.0):
     """A random pair (s, x) with q_lo < |Q(s, x)| <= q_hi: for each s, up
-    to 500 candidates x of norm 0.25 to 0.5 |s|.  A candidate is decided
-    on its slots (_q_norm); only the accepted pair becomes multivectors."""
+    to 500 candidates x of norm 0.25 to k = 0.5 |s|.  A candidate is decided
+    on its slots (_q_norm); only the accepted pair becomes multivectors.
+
+    Every candidate has |Q| >= (1 - k^2) |s| |s_|: in the complex slice of
+    s, with z = |s| e^(i theta), Q is (z - l)(z - conj l) for |l| = |x|,
+    and |Q|^2, convex in cos arg l, is at least (|s|^2 - |x|^2)^2 sin^2
+    theta.  An s whose bound exceeds q_hi (by a 1e-9 margin for roundoff)
+    is skipped, but its 500 candidates still take their draws, one
+    uniform and six normals each, so every later draw is unchanged."""
     if not q_lo < q_hi:
         raise ValueError(f"empty window ({q_lo}, {q_hi}]")
+    k = 0.5
     while True:
         s = _rand_slots(rng, rng.uniform(0.95, 1.3))
         s_mv = Multivector.paravector(*s)
         s_norm = _pnorm(s_mv)
+        if (1 - k * k) * s_norm * hypot(*s[1:]) > q_hi * (1 + 1e-9):
+            # The raw draws of rng.uniform and rng.normal(size=6), without
+            # their arithmetic.  bit_generator.advance cannot replace this:
+            # a ziggurat normal takes a data-dependent number of raw draws.
+            for _ in range(500):
+                rng.random()
+                rng.standard_normal(6)
+            continue
         for _ in range(500):
-            x = _rand_slots(rng, rng.uniform(0.25, 0.5) * s_norm)
+            x = _rand_slots(rng, rng.uniform(0.25, k) * s_norm)
             if q_lo < _q_norm(s, x) <= q_hi:
                 return s_mv, Multivector.paravector(*x)
 
