@@ -58,9 +58,8 @@ SIGN_TABLE, INDEX_TABLE = _build_tables()
 GRADE = np.array([bin(m).count("1") for m in range(DIM)])
 PARAVECTOR_MASKS = (0, 1, 2, 4, 8, 16)
 VECTOR_MASKS = np.array(PARAVECTOR_MASKS[1:])
-# True at the blades outside the paravector slots.
-_HIGHER = np.ones(DIM, dtype=bool)
-_HIGHER[list(PARAVECTOR_MASKS)] = False
+# The blades outside the paravector slots, ascending.
+_HIGHER = np.array([m for m in range(DIM) if m not in PARAVECTOR_MASKS])
 CONJUGATE_SIGNS = np.where(GRADE == 1, -1.0, 1.0)
 
 
@@ -307,12 +306,20 @@ def paravector_norm_sq_rows(X: np.ndarray) -> np.ndarray:
         return np.add.reduce(sq, axis=0)
 
 
+def check_paravector(*coeffs: np.ndarray) -> None:
+    """Raise NotParavector if any blade outside the six paravector slots is
+    nonzero, exactly, in any of the coefficient arrays: (32,) for one
+    multivector or (n, 32) rows.  A -0.0 counts as zero."""
+    for c in coeffs:
+        if np.count_nonzero(c.take(_HIGHER, axis=-1)):
+            raise NotParavector("a blade outside the paravector slots is nonzero")
+
+
 def paravector_inverse(x: Multivector) -> Multivector:
-    """xbar / |x|^2.  Raises NotParavector if any blade outside the six
-    paravector slots is nonzero, exactly (for such x, xbar / |x|^2 is not
-    an inverse), and ZeroParavector if |x|^2 is 0."""
-    if np.count_nonzero(x.c[_HIGHER]):
-        raise NotParavector("cannot invert a multivector that is not a paravector")
+    """xbar / |x|^2.  Raises NotParavector if x is not a paravector
+    (check_paravector; for such x, xbar / |x|^2 is not an inverse), and
+    ZeroParavector if |x|^2 is 0."""
+    check_paravector(x.c)
     n2 = paravector_norm_sq(x)
     if n2 == 0.0:
         raise ZeroParavector("cannot invert the zero paravector")

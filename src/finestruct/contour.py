@@ -18,7 +18,7 @@ import numpy as np
 from .clifford_core import DIM, Multivector, check_imaginary_unit, mv_mul_rows
 from .errors import DegenerateRadius, PointOutsideDomain
 from .fueter_ops import _kind_word, apply_word
-from .kernels import fine_kernel_rows
+from .kernels import _as_rows, fine_kernel_rows
 from .slice_poly import (LEFT, SlicePolynomial, _check_side, canonical_eval,
                          eval_slice_poly_rows)
 
@@ -73,22 +73,15 @@ def _blade0_rows(values) -> np.ndarray:
     return rows
 
 
-def _rows_at(value, n: int) -> np.ndarray:
-    """Rows of an integrand: one Multivector is the same at every node."""
-    if isinstance(value, Multivector):
-        return np.broadcast_to(value.c, (n, value.c.size))
-    return value
-
-
 def slice_integral(K, c: Contour, f, side: str = LEFT) -> Multivector:
     """(1/2π) Σ K(s_i)·dsJ_i·f(s_i) (Left) or f(s_i)·dsJ_i·K(s_i) (Right).
 
     K and f take the (N, 32) node rows and return (N, 32) rows, or one
-    Multivector for a value that is the same at every node.  The terms are
-    formed on all rows at once and added node after node from zero."""
+    Multivector: a row that the row product broadcasts over the nodes.  The
+    terms are formed on all rows at once and added node after node from 0."""
     _check_side(side)
     S, w = c.node_rows, c.dsj_rows
-    kv, fv = _rows_at(K(S), len(S)), _rows_at(f(S), len(S))
+    kv, fv = _as_rows(K(S)), _as_rows(f(S))
     terms = (mv_mul_rows(mv_mul_rows(kv, w), fv) if side == LEFT
              else mv_mul_rows(mv_mul_rows(fv, w), kv))
     # Reducing over axis 0 adds whole rows one after another, in node order.

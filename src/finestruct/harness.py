@@ -40,13 +40,14 @@ from .fueter_ops import (
     word_degrees,
 )
 from .kernels import (
-    _q_inverse_power,
+    _guarded_q,
     _slice_inverse_powers,
     cauchy_kernel,
     cauchy_kernel_batch,
     fine_kernel,
     fine_kernel_series,
     fine_kernel_via_f5,
+    inverse_power,
     p0_residual,
 )
 from .contour import circle, fine_integral_eval, word_eval
@@ -412,7 +413,7 @@ def _suite_kernels(cfg, tol):
     # the F5 combination, and the FD oracle all agree on; reported as a
     # transcription flag.
     s, x = _seed_kernel_pair(np.random.default_rng(cfg["seed"] + 2))
-    printed = (s - x) * _q_inverse_power(s, x, 2) * 8.0
+    printed = (s - x) * inverse_power(_guarded_q(s, x), 2) * 8.0
     adopted = fine_kernel("D2", LEFT, s, x)
     yield ("kernels.d2_printed_sign",
            (printed - adopted).norm_inf(), 1e-12, "flag")

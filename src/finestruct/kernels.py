@@ -9,15 +9,17 @@ preserved exactly.
 The closed forms live in one table, KERNEL_TERMS: each kind is a sum of
 terms c * L Q^(-k) R, written for the left kernel, with L and R among
 s - xbar, s - x0, (s - x0)^2, x - s or nothing.  The right kernel is the
-mirror image: L and R swap places.  kernel_from_table evaluates a row for
-any ring in which these factors and Q^(-k) can be built.  One stacked
-evaluator, _table_stack, builds the factors and carries the product for all
-three readers: fine_kernel (one multivector row), fine_kernel_rows ((n, 32)
+mirror image: L and R swap places.  kernel_from_table, the one reader of
+the table, evaluates a row with the factors, Q^(-k) and the product it is
+given.  One stacked evaluator, _table_stack, builds the factors for all
+three callers: fine_kernel (one multivector row), fine_kernel_rows ((n, 32)
 rows) and op_calculus's resolvents ((n, 32, d, d) operators, x -> T).
+Every entry point raises NotParavector first if s or x is not a paravector.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import sqrt
 
@@ -29,6 +31,7 @@ from .clifford_core import (
     Multivector,
     ONE,
     axis_decompose,
+    check_paravector,
     mv_mul_rows,
     paravector_conjugate,
     paravector_inverse,
@@ -70,22 +73,30 @@ def inverse_power(q: Multivector, k: int) -> Multivector:
     return out
 
 
+def _sphere_bound(ns, nx):
+    """The sphere guard's bound on |q|, from |s|^2 and |x|^2 (floats or rows)."""
+    return 1e-10 * (1.0 + ns + nx)
+
+
 def _sphere_guarded(q: Multivector, s: Multivector, x: Multivector) -> Multivector:
-    """q, a pseudo Cauchy kernel of (s, x), past the sphere guard
-    |q| > 1e-10 (1 + |s|^2 + |x|^2)."""
-    bound = 1e-10 * (1.0 + paravector_norm_sq(s) + paravector_norm_sq(x))
+    """q, a pseudo Cauchy kernel of (s, x), past the sphere guard."""
+    bound = _sphere_bound(paravector_norm_sq(s), paravector_norm_sq(x))
     if sqrt(paravector_norm_sq(q)) <= bound:
         raise SpectralSphereHit("x lies on the sphere of s within tolerance")
     return q
 
 
 def _guarded_q(s: Multivector, x: Multivector) -> Multivector:
-    """Q(s, x) with the sphere guard."""
+    """Q(s, x) with the sphere guard, for paravectors s and x."""
+    check_paravector(s.c, x.c)
     return _sphere_guarded(pseudo_kernel("commutative", s, x), s, x)
 
 
-def _q_inverse_power(s: Multivector, x: Multivector, k: int) -> Multivector:
-    return inverse_power(_guarded_q(s, x), k)
+def _qn_inverse(s: Multivector, x: Multivector) -> Multivector:
+    """Form I's Q_n(s, x)^(-1): the noncommutative pseudo kernel, guarded."""
+    check_paravector(s.c, x.c)
+    return paravector_inverse(
+        _sphere_guarded(pseudo_kernel("noncommutative", s, x), s, x))
 
 
 def _slice_inverse_powers(s: Multivector, N: int) -> tuple:
@@ -125,13 +136,14 @@ KERNEL_TERMS = {
 }
 
 
-def kernel_from_table(kind: str, side: str, factor, q_power):
+def kernel_from_table(kind: str, side: str, factor, q_power, mul=operator.mul):
     """Sum of the KERNEL_TERMS row of kind, mirrored for the right side.
 
     factor(name) builds S_MINUS_XBAR, S_MINUS_X0 or X_MINUS_S and is called
-    only for the factors the row uses; q_power(k) gives Q^(-k).  The terms
-    are summed in table order from the first one, not from zero, which would
-    turn a -0.0 into +0.0."""
+    only for the factors the row uses; q_power(k) gives Q^(-k); mul is the
+    ring product of factors and powers, and c multiplies as c * term.  The
+    terms are summed in table order from the first one, not from zero,
+    which would turn a -0.0 into +0.0."""
     _check_side(side)
     terms = KERNEL_TERMS.get(kind)
     if terms is None:
@@ -142,9 +154,9 @@ def kernel_from_table(kind: str, side: str, factor, q_power):
             left, right = right, left
         term = q_power(k)
         if left is not None:
-            term = _build_factor(factor, left) * term
+            term = mul(_build_factor(factor, left, mul), term)
         if right is not None:
-            term = term * _build_factor(factor, right)
+            term = mul(term, _build_factor(factor, right, mul))
         if c != 1.0:
             # A scalar multiplies elementwise from either side; from the
             # left, CliffordMatrix.__mul__ sees only ring products.
@@ -153,18 +165,17 @@ def kernel_from_table(kind: str, side: str, factor, q_power):
     return acc
 
 
-def _build_factor(factor, name):
+def _build_factor(factor, name, mul):
     if name == S_MINUS_X0_SQ:
         f = factor(S_MINUS_X0)
-        return f * f
+        return mul(f, f)
     return factor(name)
 
 
 def cauchy_kernel(side: str, form: str, s: Multivector, x: Multivector) -> Multivector:
     if form == "I":
         _check_side(side)
-        qn = _sphere_guarded(pseudo_kernel("noncommutative", s, x), s, x)
-        qn_inv = paravector_inverse(qn)
+        qn_inv = _qn_inverse(s, x)
         sbar_minus_x = paravector_conjugate(s) - x
         if side == LEFT:
             return qn_inv * sbar_minus_x
@@ -193,27 +204,6 @@ def fine_kernel(kind: str, side: str, s: Multivector, x: Multivector) -> Multive
     return Multivector._wrap(K[0])
 
 
-class _Ring:
-    """Stacks of elements (blade axis 1) as a ring for kernel_from_table: *
-    is the stacked product mul or, by a float, elementwise."""
-
-    __slots__ = ("c", "mul")
-
-    def __init__(self, c: np.ndarray, mul):
-        self.c = c
-        self.mul = mul
-
-    def __mul__(self, other):
-        if isinstance(other, _Ring):
-            return _Ring(self.mul(self.c, other.c), self.mul)
-        return _Ring(self.c * other, self.mul)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return _Ring(self.c + other.c, self.mul)
-
-
 def _table_stack(kind: str, side: str, S: np.ndarray, X: np.ndarray, q_power,
                  mul) -> np.ndarray:
     """The KERNEL_TERMS row of kind at the stacks S and X, whose blade axis
@@ -229,15 +219,14 @@ def _table_stack(kind: str, side: str, S: np.ndarray, X: np.ndarray, q_power,
 
     def factor(name):
         if name == S_MINUS_XBAR:
-            return _Ring(S - X * conj, mul)
+            return S - X * conj
         if name == S_MINUS_X0:
             x0 = np.zeros_like(X)
             x0[:, 0] = X[:, 0]
-            return _Ring(S - x0, mul)
-        return _Ring(X - S, mul)
+            return S - x0
+        return X - S
 
-    return kernel_from_table(kind, side, factor,
-                             lambda k: _Ring(q_power(k), mul)).c
+    return kernel_from_table(kind, side, factor, q_power, mul)
 
 
 def _as_rows(p) -> np.ndarray:
@@ -251,14 +240,16 @@ def fine_kernel_rows(kind: str, side: str, S, X) -> np.ndarray:
     The float operations are fine_kernel's, row by row: Q and its sphere
     guard as in _guarded_q, Q^(-1) with + 0.0 and its powers as in
     inverse_power, and the table through _table_stack.  Raises
-    SpectralSphereHit if any pair lies on one sphere."""
+    NotParavector as _guarded_q does, and SpectralSphereHit if any pair
+    lies on one sphere."""
     S, X = _as_rows(S), _as_rows(X)
+    check_paravector(S, X)
     nx = paravector_norm_sq_rows(X)
     shift = np.zeros(np.broadcast_shapes(S.shape, X.shape))
     shift[:, 0] = nx
     q = (mv_mul_rows(S, S) - S * (2.0 * X[:, :1])) + shift
     nq = paravector_norm_sq_rows(q)
-    bound = 1e-10 * (1.0 + paravector_norm_sq_rows(S) + nx)
+    bound = _sphere_bound(paravector_norm_sq_rows(S), nx)
     if np.any(np.sqrt(nq) <= bound):
         raise SpectralSphereHit("x lies on the sphere of s within tolerance")
     q_inv = q * (CONJUGATE_SIGNS * (1.0 / nq)[:, None])
@@ -290,6 +281,7 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
     _check_side(side)
     if N < 0:
         raise ValueError(f"expected a series length N >= 0, got {N}")
+    check_paravector(s.c, x.c)
     if paravector_norm_sq(x) >= paravector_norm_sq(s):
         raise OutsideConvergenceDisk("series requires |x| < |s|")
     x0, r, omega = axis_decompose(x)
@@ -362,4 +354,4 @@ def fine_kernel_via_f5(kind: str, side: str, s: Multivector, x: Multivector) -> 
 def p0_residual(s: Multivector, x: Multivector) -> Multivector:
     """F5_L(s,x) s - x F5_L(s,x) - 64 Q(s,x)^(-2); identically zero."""
     F = f5_kernel(LEFT, s, x)
-    return F * s - x * F - _q_inverse_power(s, x, 2) * GAMMA_5
+    return F * s - x * F - inverse_power(_guarded_q(s, x), 2) * GAMMA_5

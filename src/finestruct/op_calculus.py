@@ -33,9 +33,9 @@ from .clifford_core import (
     PARAVECTOR_MASKS,
     VECTOR_MASKS,
     axis_rows,
+    check_paravector,
     mv_mul_rows,
     paravector_conjugate,
-    paravector_inverse,
     paravector_norm_sq,
 )
 from .contour import circle
@@ -48,8 +48,8 @@ from .errors import (
     SpectrumNotEnclosed,
 )
 from .fueter_ops import _kind_word, image_terms, word_image_terms
-from .kernels import (KERNEL_TERMS, _slice_inverse_powers, _sphere_guarded,
-                      _table_stack, pseudo_kernel)
+from .kernels import (KERNEL_TERMS, _qn_inverse, _slice_inverse_powers,
+                      _table_stack)
 from .slice_poly import (
     LEFT,
     RIGHT,
@@ -259,8 +259,10 @@ _PARAVECTOR_MASKS = list(PARAVECTOR_MASKS)
 def _stacked_solve(T: OperatorTuple, rows: np.ndarray) -> tuple:
     """One complex inverse W of the (N, d, d) stack Z = z^2 I - 2 z T0 +
     T Tbar at z = u + iv for each node row s = u + J v, and the (N, 5) rows
-    of each J (zero for a real s), from one axis_rows.  Each node must be
-    farther than 1e-8 from every spectral sphere."""
+    of each J (zero for a real s), from one axis_rows.  Each node must be a
+    paravector (NotParavector) farther than 1e-8 from every spectral
+    sphere."""
+    check_paravector(rows)
     spectrum = T.spectrum()
     us, vs, units = axis_rows(rows)
     zz, tz = [], []
@@ -433,6 +435,7 @@ def fine_resolvent_series(kind: str, side: str, T: OperatorTuple,
     of x^m under the kind's word, evaluated at T, times s^(-1-m)."""
     if N < 0:
         raise ValueError(f"expected a series length N >= 0, got {N}")
+    check_paravector(s.c)
     if T.norm_bound() >= sqrt(paravector_norm_sq(s)):
         raise OutsideConvergenceDisk("series requires ||T|| < |s|")
     return _image_sum(kind, side, T, _slice_inverse_powers(s, N))
@@ -564,7 +567,7 @@ def p0_operator_residual(T: OperatorTuple, s: Multivector) -> CliffordMatrix:
 def f_resolvent_equation_residual(T: OperatorTuple, s: Multivector,
                                   p: Multivector) -> CliffordMatrix:
     """LHS − RHS of the F-resolvent equation (n = 5); identically zero."""
-    qs_p = _sphere_guarded(pseudo_kernel("noncommutative", s, p), s, p)
+    qs_p_inv = _qn_inverse(s, p)
     F5R_s = fine_resolvent("F5", RIGHT, T, s)
     F5L_p = fine_resolvent("F5", LEFT, T, p)
     SL_p = fine_resolvent("SC", LEFT, T, p)
@@ -578,7 +581,7 @@ def f_resolvent_equation_residual(T: OperatorTuple, s: Multivector,
            + (Qs2 * Qp1 + Qs1 * Qp2).scale(64.0))
     diff = F5R_s - F5L_p
     sbar = paravector_conjugate(s)
-    rhs = (diff * p - sbar * diff) * paravector_inverse(qs_p)
+    rhs = (diff * p - sbar * diff) * qs_p_inv
     return lhs - rhs
 
 
