@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotImaginaryUnit, NotParavector, ZeroParavector
+from .errors import NotFinite, NotImaginaryUnit, NotParavector, ZeroParavector
 
 N_GENERATORS = 5
 DIM = 1 << N_GENERATORS
@@ -57,7 +57,8 @@ SIGN_TABLE, INDEX_TABLE = _build_tables()
 
 GRADE = np.array([bin(m).count("1") for m in range(DIM)])
 PARAVECTOR_MASKS = (0, 1, 2, 4, 8, 16)
-VECTOR_MASKS = np.array(PARAVECTOR_MASKS[1:])
+PARAVECTOR_INDEX = np.array(PARAVECTOR_MASKS)
+VECTOR_MASKS = PARAVECTOR_INDEX[1:]
 # The blades outside the paravector slots, ascending.
 _HIGHER = np.array([m for m in range(DIM) if m not in PARAVECTOR_MASKS])
 CONJUGATE_SIGNS = np.where(GRADE == 1, -1.0, 1.0)
@@ -282,11 +283,14 @@ def paravector_conjugate(x: Multivector) -> Multivector:
     return Multivector._wrap(x.c * CONJUGATE_SIGNS)
 
 
+def slots_norm_sq(v) -> float:
+    """|v|^2 of six slots (floats) by ** 2, libm pow: v * v can differ."""
+    v0, v1, v2, v3, v4, v5 = v
+    return v0 ** 2 + v1 ** 2 + v2 ** 2 + v3 ** 2 + v4 ** 2 + v5 ** 2
+
+
 def paravector_norm_sq(x: Multivector) -> float:
-    # ** 2 (libm pow), not c * c: the two differ in the last bit for some
-    # inputs, and results are kept to the bit.
-    c = x.c.tolist()
-    return c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + c[4] ** 2 + c[8] ** 2 + c[16] ** 2
+    return slots_norm_sq(x.c[PARAVECTOR_INDEX].tolist())
 
 
 def paravector_norm_sq_rows(X: np.ndarray) -> np.ndarray:
@@ -299,7 +303,7 @@ def paravector_norm_sq_rows(X: np.ndarray) -> np.ndarray:
     and a sum that overflows is inf, without a warning."""
     try:
         with np.errstate(over="raise"):
-            sq = np.float_power(X.T[list(PARAVECTOR_MASKS)], 2.0)
+            sq = np.float_power(X.T[PARAVECTOR_INDEX], 2.0)
     except FloatingPointError:
         raise OverflowError("a paravector slot's square is out of range") from None
     with np.errstate(over="ignore"):
@@ -309,21 +313,28 @@ def paravector_norm_sq_rows(X: np.ndarray) -> np.ndarray:
 def check_paravector(*coeffs: np.ndarray) -> None:
     """Raise NotParavector if any blade outside the six paravector slots is
     nonzero, exactly, in any of the coefficient arrays: (32,) for one
-    multivector or (n, 32) rows.  A -0.0 counts as zero."""
+    multivector or (n, 32) rows, and NotFinite if a slot is inf or NaN.  A
+    -0.0 counts as zero."""
     for c in coeffs:
         if np.count_nonzero(c.take(_HIGHER, axis=-1)):
             raise NotParavector("a blade outside the paravector slots is nonzero")
+        if np.count_nonzero(np.isfinite(c)) < c.size:
+            raise NotFinite("a paravector slot is inf or NaN")
 
 
-def paravector_inverse(x: Multivector) -> Multivector:
-    """xbar / |x|^2.  Raises NotParavector if x is not a paravector
-    (check_paravector; for such x, xbar / |x|^2 is not an inverse), and
-    ZeroParavector if |x|^2 is 0."""
+def invertible_norm_sq(x: Multivector) -> float:
+    """|x|^2 past check_paravector (else xbar / |x|^2 is no inverse), and
+    ZeroParavector if it is 0."""
     check_paravector(x.c)
     n2 = paravector_norm_sq(x)
     if n2 == 0.0:
         raise ZeroParavector("cannot invert the zero paravector")
-    return Multivector._wrap(x.c * (CONJUGATE_SIGNS * (1.0 / n2)))
+    return n2
+
+
+def paravector_inverse(x: Multivector) -> Multivector:
+    """xbar / |x|^2, past invertible_norm_sq."""
+    return Multivector._wrap(x.c * (CONJUGATE_SIGNS * (1.0 / invertible_norm_sq(x))))
 
 
 def axis_rows(X: np.ndarray):
@@ -356,7 +367,11 @@ def embed(u: float, v: float, J: Multivector) -> Multivector:
 
 
 def check_imaginary_unit(J: Multivector) -> None:
-    if not is_paravector(J) or abs(J[0]) > ATOL_DEFAULT:
+    try:
+        check_paravector(J.c)
+    except (NotParavector, NotFinite):
+        raise NotImaginaryUnit("J must be a 1-vector") from None
+    if abs(J[0]) > ATOL_DEFAULT:
         raise NotImaginaryUnit("J must be a 1-vector")
     if abs(paravector_norm_sq(J) - 1.0) > ATOL_DEFAULT:
         raise NotImaginaryUnit("J must have unit norm")

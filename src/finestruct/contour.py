@@ -15,7 +15,8 @@ from math import cos, isfinite, pi, sin, sqrt
 
 import numpy as np
 
-from .clifford_core import DIM, Multivector, check_imaginary_unit, mv_mul_rows
+from .clifford_core import (DIM, Multivector, check_imaginary_unit, mv_mul_rows,
+                            paravector_norm_sq)
 from .errors import DegenerateRadius, PointOutsideDomain
 from .fueter_ops import _kind_word, apply_word
 from .kernels import _as_rows, fine_kernel_rows
@@ -90,9 +91,7 @@ def slice_integral(K, c: Contour, f, side: str = LEFT) -> Multivector:
 
 
 def _check_inside(x: Multivector, c: Contour) -> None:
-    dist = sqrt((x[0] - c.center) ** 2
-                + sum(x[1 << i] ** 2 for i in range(5)))
-    if dist >= c.radius:
+    if sqrt(paravector_norm_sq(x - Multivector.scalar(c.center))) >= c.radius:
         raise PointOutsideDomain("x is not strictly inside the contour")
 
 

@@ -13,6 +13,10 @@ class NotParavector(EngineError):
     """A paravector was required, but a blade of grade 2 or more is nonzero."""
 
 
+class NotFinite(EngineError):
+    """A point has an infinite or NaN coefficient."""
+
+
 class NotImaginaryUnit(EngineError):
     """A unit 1-vector was required but not supplied."""
 

@@ -22,8 +22,9 @@ import numpy as np
 from .clifford_core import (
     DIM,
     LEFT_SIGNED,
-    PARAVECTOR_MASKS,
+    PARAVECTOR_INDEX,
     SIGNED_INDEX,
+    VECTOR_MASKS,
     Multivector,
     ZERO,
 )
@@ -292,13 +293,13 @@ def sum_lemma_2(m: int) -> bool:
 _FD_BLOCK = 256
 
 # Coefficients of the unit directions of x0, x1, ..., x5.
-_UNIT_ROWS = np.eye(DIM)[list(PARAVECTOR_MASKS)]
+_UNIT_ROWS = np.eye(DIM)[PARAVECTOR_INDEX]
 
 # e_i d (left) and d e_i (right) for the units e_1 ... e_5, as indices into
 # [d, -d]: the signed permutation that mv_mul applies.
 _UNIT_PRODUCT = {
-    LEFT: SIGNED_INDEX[list(PARAVECTOR_MASKS[1:])],
-    RIGHT: LEFT_SIGNED[:, list(PARAVECTOR_MASKS[1:])].T,
+    LEFT: SIGNED_INDEX[VECTOR_MASKS],
+    RIGHT: LEFT_SIGNED[:, VECTOR_MASKS].T,
 }
 
 

@@ -18,7 +18,7 @@ from math import hypot, isnan, sqrt
 import numpy as np
 
 from . import __version__
-from .clifford_core import Multivector, mv_mul_rows, paravector_norm_sq
+from .clifford_core import Multivector, mv_mul_rows, paravector_norm_sq, slots_norm_sq
 from .errors import ConfigError, EngineError, UnknownSuite
 from .fueter_ops import (
     KIND_WORDS,
@@ -41,6 +41,7 @@ from .fueter_ops import (
 )
 from .kernels import (
     _guarded_q,
+    _q_slots,
     _slice_inverse_powers,
     cauchy_kernel,
     cauchy_kernel_batch,
@@ -241,24 +242,9 @@ def _pnorm(x: Multivector) -> float:
 
 def _q_norm(s: list, x: list) -> float:
     """_pnorm(pseudo_kernel("commutative", s, x)) from the six paravector
-    slots of s and x, with the same float operations in the same order:
-    slot 0 of s * s summed from 0.0 over the blades in ascending order, as
-    in _gather_product, then - s0 (2 x0) + |x|^2; each vector slot
-    (0.0 + s0 si + si s0) - si (2 x0) + 0.0; then |.|^2 with ** 2, as in
-    paravector_norm_sq.  The algebraic |Q|^2 = a^2 + 4 (s0 - x0)^2 |s_|^2
-    differs from it in the last bits."""
-    s0, *sv = s
-    x0, *xv = x
-    two_x0 = 2.0 * x0
-    q0 = 0.0 + s0 * s0
-    for si in sv:
-        q0 += -si * si
-    q0 = (q0 - s0 * two_x0) + (x0 ** 2 + xv[0] ** 2 + xv[1] ** 2
-                                + xv[2] ** 2 + xv[3] ** 2 + xv[4] ** 2)
-    nq = q0 ** 2
-    for si in sv:
-        nq += (((0.0 + s0 * si) + si * s0) - si * two_x0 + 0.0) ** 2
-    return sqrt(nq)
+    slots of s and x, bit for bit: the norm of kernels._q_slots.  The
+    algebraic |Q|^2 = a^2 + 4 (s0 - x0)^2 |s_|^2 differs in the last bits."""
+    return sqrt(slots_norm_sq(_q_slots(s, x, slots_norm_sq(x))))
 
 
 def _seed_kernel_pair(rng, q_lo: float = 0.5, q_hi: float = 1.0):

@@ -14,13 +14,14 @@ the table, evaluates a row with the factors, Q^(-k) and the product it is
 given.  One stacked evaluator, _table_stack, builds the factors for all
 three callers: fine_kernel (one multivector row), fine_kernel_rows ((n, 32)
 rows) and op_calculus's resolvents ((n, 32, d, d) operators, x -> T).
-Every entry point raises NotParavector first if s or x is not a paravector.
+Every entry point raises NotParavector first if s or x is not a paravector,
+and NotFinite if one of its slots is inf or NaN (check_paravector).
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import sqrt
 
 import numpy as np
@@ -30,8 +31,10 @@ from .clifford_core import (
     DIM,
     Multivector,
     ONE,
+    PARAVECTOR_INDEX,
     axis_decompose,
     check_paravector,
+    invertible_norm_sq,
     mv_mul_rows,
     paravector_conjugate,
     paravector_inverse,
@@ -45,32 +48,49 @@ from .slice_poly import LEFT, _check_side
 GAMMA_5 = 64.0
 
 
+def _q_slots(s, x, nx) -> list:
+    """The six slots of Q = s s - s (2 x0) + nx from those of s and x (floats
+    or row columns) and nx = |x|^2, by the ring's float operations in order
+    (s s as in _gather_product); its other blades are +0.0 unless one
+    overflows."""
+    s0, *sv = s
+    two_x0 = 2.0 * x[0]
+    q0 = 0.0 + s0 * s0
+    for si in sv:
+        q0 = q0 + -si * si
+    return [(q0 - s0 * two_x0) + nx] + [
+        (((0.0 + s0 * si) + si * s0) - si * two_x0) + 0.0 for si in sv]
+
+
 def pseudo_kernel(variant: str, s: Multivector, x: Multivector) -> Multivector:
-    """Uninverted pseudo Cauchy kernel.
+    """Uninverted pseudo Cauchy kernel of paravectors (check_paravector).
 
     commutative    -> s^2 - 2 x0 s + |x|^2
-    noncommutative -> x^2 - 2 s0 x + |s|^2
+    noncommutative -> x^2 - 2 s0 x + |s|^2, the commutative one at (x, s)
     """
-    if variant == "commutative":
-        return s * s - s * (2.0 * x[0]) + Multivector.scalar(paravector_norm_sq(x))
+    check_paravector(s.c, x.c)
     if variant == "noncommutative":
-        return x * x - x * (2.0 * s[0]) + Multivector.scalar(paravector_norm_sq(s))
-    raise ValueError(f"unknown variant {variant!r}")
+        s, x = x, s
+    elif variant != "commutative":
+        raise ValueError(f"unknown variant {variant!r}")
+    sv, xv = s.c[PARAVECTOR_INDEX].tolist(), x.c[PARAVECTOR_INDEX].tolist()
+    return Multivector.paravector(*_q_slots(sv, xv, paravector_norm_sq(x)))
+
+
+def _q_powers(q: np.ndarray, nq):
+    """k -> Q^(-k), k >= 1, for rows q (n, 32) and |q|^2 nq ((n, 1) or a
+    float): qbar / nq, + 0.0 (conjugation's -0.0 becomes +0.0, as in a
+    product), then k - 1 products by mv_mul_rows."""
+    q_inv = q * (CONJUGATE_SIGNS * (1.0 / nq))
+    return lambda k: reduce(mv_mul_rows, [q_inv] * (k - 1), q_inv + 0.0)
 
 
 def inverse_power(q: Multivector, k: int) -> Multivector:
+    """q^(-k), _q_powers' one-row case, past invertible_norm_sq."""
     if k < 0:
         raise ValueError(f"expected a power k >= 0, got {k}")
-    inv = paravector_inverse(q)
-    if k == 0:
-        return ONE
-    # Conjugation leaves -0.0 in zero vector slots; adding 0.0 turns them
-    # into +0.0, as a product ONE * inv would, so the signs of zeros that
-    # callers see are those of a product.
-    out = Multivector._wrap(inv.c + 0.0)
-    for _ in range(k - 1):
-        out = out * inv
-    return out
+    nq = invertible_norm_sq(q)
+    return ONE if k == 0 else Multivector._wrap(_q_powers(q.c[None], nq)(k)[0])
 
 
 def _sphere_bound(ns, nx):
@@ -78,25 +98,26 @@ def _sphere_bound(ns, nx):
     return 1e-10 * (1.0 + ns + nx)
 
 
-def _sphere_guarded(q: Multivector, s: Multivector, x: Multivector) -> Multivector:
-    """q, a pseudo Cauchy kernel of (s, x), past the sphere guard."""
-    bound = _sphere_bound(paravector_norm_sq(s), paravector_norm_sq(x))
-    if sqrt(paravector_norm_sq(q)) <= bound:
+def _sphere_guarded(q: Multivector, s: Multivector, x: Multivector) -> float:
+    """|q|^2 for q, a pseudo Cauchy kernel of (s, x), past the sphere guard."""
+    nq = paravector_norm_sq(q)
+    if sqrt(nq) <= _sphere_bound(paravector_norm_sq(s), paravector_norm_sq(x)):
         raise SpectralSphereHit("x lies on the sphere of s within tolerance")
-    return q
+    return nq
 
 
 def _guarded_q(s: Multivector, x: Multivector) -> Multivector:
-    """Q(s, x) with the sphere guard, for paravectors s and x."""
-    check_paravector(s.c, x.c)
-    return _sphere_guarded(pseudo_kernel("commutative", s, x), s, x)
+    """Q(s, x) with the sphere guard."""
+    q = pseudo_kernel("commutative", s, x)
+    _sphere_guarded(q, s, x)
+    return q
 
 
 def _qn_inverse(s: Multivector, x: Multivector) -> Multivector:
     """Form I's Q_n(s, x)^(-1): the noncommutative pseudo kernel, guarded."""
-    check_paravector(s.c, x.c)
-    return paravector_inverse(
-        _sphere_guarded(pseudo_kernel("noncommutative", s, x), s, x))
+    q = pseudo_kernel("noncommutative", s, x)
+    _sphere_guarded(q, s, x)
+    return paravector_inverse(q)
 
 
 def _slice_inverse_powers(s: Multivector, N: int) -> tuple:
@@ -197,10 +218,10 @@ def f5_kernel(side: str, s: Multivector, x: Multivector) -> Multivector:
 
 def fine_kernel(kind: str, side: str, s: Multivector, x: Multivector) -> Multivector:
     """Closed form of the kernel associated with the operator word of kind:
-    the one-row case of _table_stack, with Q^(-k) from inverse_power."""
-    q = _guarded_q(s, x)
-    K = _table_stack(kind, side, s.c[None], x.c[None],
-                     lambda k: inverse_power(q, k).c[None], mv_mul_rows)
+    fine_kernel_rows on one row, but with Python-float norms."""
+    q = pseudo_kernel("commutative", s, x)
+    q_power = _q_powers(q.c[None], _sphere_guarded(q, s, x))
+    K = _table_stack(kind, side, s.c[None], x.c[None], q_power, mv_mul_rows)
     return Multivector._wrap(K[0])
 
 
@@ -237,30 +258,21 @@ def fine_kernel_rows(kind: str, side: str, S, X) -> np.ndarray:
     """fine_kernel(kind, side, s, x) for each pair of rows of S and X, bit
     for bit; either argument is one Multivector or an (n, 32) array of rows.
 
-    The float operations are fine_kernel's, row by row: Q and its sphere
-    guard as in _guarded_q, Q^(-1) with + 0.0 and its powers as in
-    inverse_power, and the table through _table_stack.  Raises
-    NotParavector as _guarded_q does, and SpectralSphereHit if any pair
-    lies on one sphere."""
+    The float operations are fine_kernel's, row by row: Q from _q_slots,
+    the guard of _sphere_guarded, Q^(-k) from _q_powers and the table from
+    _table_stack.  Raises the errors of check_paravector, and
+    SpectralSphereHit if any pair lies on one sphere."""
     S, X = _as_rows(S), _as_rows(X)
     check_paravector(S, X)
     nx = paravector_norm_sq_rows(X)
-    shift = np.zeros(np.broadcast_shapes(S.shape, X.shape))
-    shift[:, 0] = nx
-    q = (mv_mul_rows(S, S) - S * (2.0 * X[:, :1])) + shift
+    q = np.zeros(np.broadcast_shapes(S.shape, X.shape))
+    q[:, PARAVECTOR_INDEX] = np.transpose(
+        _q_slots(S.T[PARAVECTOR_INDEX], X.T[PARAVECTOR_INDEX], nx))
     nq = paravector_norm_sq_rows(q)
     bound = _sphere_bound(paravector_norm_sq_rows(S), nx)
     if np.any(np.sqrt(nq) <= bound):
         raise SpectralSphereHit("x lies on the sphere of s within tolerance")
-    q_inv = q * (CONJUGATE_SIGNS * (1.0 / nq)[:, None])
-
-    def q_power(k):
-        out = q_inv + 0.0
-        for _ in range(k - 1):
-            out = mv_mul_rows(out, q_inv)
-        return out
-
-    return _table_stack(kind, side, S, X, q_power, mv_mul_rows)
+    return _table_stack(kind, side, S, X, _q_powers(q, nq[:, None]), mv_mul_rows)
 
 
 def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,

@@ -30,7 +30,7 @@ from .clifford_core import (
     DIM,
     LEFT_SIGNED,
     Multivector,
-    PARAVECTOR_MASKS,
+    PARAVECTOR_INDEX,
     VECTOR_MASKS,
     axis_rows,
     check_paravector,
@@ -202,8 +202,7 @@ class OperatorTuple:
 
     def as_clifford(self) -> CliffordMatrix:
         a = np.zeros((DIM, self.d, self.d))
-        for i, mask in enumerate(PARAVECTOR_MASKS):
-            a[mask] = self.mats[i]
+        a[PARAVECTOR_INDEX] = self.mats
         return CliffordMatrix(a)
 
     def conj_clifford(self) -> CliffordMatrix:
@@ -253,9 +252,6 @@ def spectral_circle(T: OperatorTuple, J: Multivector, N: int, margin: float):
     return circle(0.0, margin * (rho + 0.2), J, N)
 
 
-_PARAVECTOR_MASKS = list(PARAVECTOR_MASKS)
-
-
 def _stacked_solve(T: OperatorTuple, rows: np.ndarray) -> tuple:
     """One complex inverse W of the (N, d, d) stack Z = z^2 I - 2 z T0 +
     T Tbar at z = u + iv for each node row s = u + J v, and the (N, 5) rows
@@ -286,7 +282,7 @@ def _paravector_slots(Wk: np.ndarray, units: np.ndarray) -> np.ndarray:
     of each node: Re Wk, then J_i Im Wk for the (N, 5) J rows units (+0.0 for
     a real node).  Only these slots are held for all nodes at once; the
     32-blade stack would be 1 MB per power at N = 256, d = 4."""
-    a = np.zeros((len(Wk), len(PARAVECTOR_MASKS)) + Wk.shape[1:])
+    a = np.zeros((len(Wk), len(PARAVECTOR_INDEX)) + Wk.shape[1:])
     a[:, 0] = Wk.real
     rows = units.any(axis=1)
     a[rows, 1:] = units[rows, :, None, None] * Wk.imag[rows, None]
@@ -297,7 +293,7 @@ def _from_paravector_slots(p: np.ndarray) -> np.ndarray:
     """The (n, 32, d, d) operators whose paravector slots are p
     (n, 6, d, d), zero elsewhere."""
     a = np.zeros(p.shape[:1] + (DIM,) + p.shape[2:])
-    a[:, _PARAVECTOR_MASKS] = p
+    a[:, PARAVECTOR_INDEX] = p
     return a
 
 
