@@ -58,9 +58,14 @@ SIGN_TABLE, INDEX_TABLE = _build_tables()
 GRADE = np.array([bin(m).count("1") for m in range(DIM)])
 PARAVECTOR_MASKS = (0, 1, 2, 4, 8, 16)
 PARAVECTOR_INDEX = np.array(PARAVECTOR_MASKS)
+_PARAVECTOR_SET = frozenset(PARAVECTOR_MASKS)
 VECTOR_MASKS = PARAVECTOR_INDEX[1:]
 # The blades outside the paravector slots, ascending.
 _HIGHER = np.array([m for m in range(DIM) if m not in PARAVECTOR_MASKS])
+# The bivectors e_i e_j, i < j, and the 16 blades of a paravector product.
+_BIVECTOR_PAIRS = [(i, j) for j in range(2, 6) for i in range(1, j)]
+_PRODUCT_INDEX = np.array(PARAVECTOR_MASKS + tuple(
+    PARAVECTOR_MASKS[i] | PARAVECTOR_MASKS[j] for i, j in _BIVECTOR_PAIRS))
 CONJUGATE_SIGNS = np.where(GRADE == 1, -1.0, 1.0)
 
 
@@ -218,16 +223,33 @@ def _madd(acc: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     acc += x * y
 
 
+def _paravector_product_slots(p, q) -> list:
+    """The slots at _PRODUCT_INDEX of the product of paravectors p and q,
+    six slots each (floats or row columns): mv_mul's terms p0 q0 + sum p_i
+    (-q_i), p0 q_i + p_i q0 and p_i q_j + p_j (-q_i), each slot summed from
+    +0.0 in ascending order of p's blade."""
+    p, q = list(p), list(q)
+    nq = [-v for v in q]
+    scalar = 0.0 + p[0] * q[0]
+    for i in range(1, 6):
+        scalar = scalar + p[i] * nq[i]
+    return ([scalar] + [(0.0 + p[0] * q[i]) + p[i] * q[0] for i in range(1, 6)]
+            + [(0.0 + p[i] * q[j]) + p[j] * nq[i] for i, j in _BIVECTOR_PAIRS])
+
+
 def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise product of two (n, 32) coefficient arrays, bit for bit equal
     to mv_mul on each row whenever B is finite (mv_mul's own skip of the
     zero blades of A assumes as much).
 
     A one-row operand broadcasts against the other's rows.  One row times
-    one row is mv_mul's single gather.  Otherwise the sum runs from +0.0
-    over the operand with fewer blades nonzero in any row, one step per
-    blade, and each step adds one column of that operand times one signed
-    gather of the other (the scalar blade's gather is the identity):
+    one row is mv_mul's single gather.  Two finite operands whose blades
+    nonzero in any row are 3 to 6 paravector slots each make one step,
+    _paravector_product_slots on their slot columns; the 16 other slots
+    stay +0.0.  Otherwise the sum runs from +0.0 over the operand with
+    fewer blades nonzero in any row, one step per blade, and each step adds
+    one column of that operand times one signed gather of the other (the
+    scalar blade's gather is the identity):
     - over A's blades a, in ascending order (A no denser than B, or A not
       finite): step a adds A[:, a] * (LEFT_SIGN[a, k] * B[:, a ^ k]) to
       every slot k;
@@ -237,16 +259,18 @@ def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
       each slot k, the term of the t-th left blade a, in ascending order,
       with a ^ k among B's blades, as two (n, 32) column gathers.
     A sign is +-1, so folding it into either factor gives the IEEE product
-    of mv_mul.  The first and third loops add each slot's nonzero terms in
-    ascending order of a, as mv_mul does.  The second adds at most two per
-    slot, in ascending order of b, and for doubles x and y (+0.0 + x) + y
-    is (+0.0 + y) + x, signed zeros and inf - inf included.  A skipped
-    term, or a term of a row whose factor is zero, is a signed zero (the
-    other factor being finite, hence the loops over B's blades only for a
-    finite A), and adding a signed zero never changes a sum started at
-    +0.0, which cannot become -0.0; so each row gets the bits of its own
-    mv_mul.  A non-finite A stays on the loop over A, where inf * 0 gives
-    NaN as in mv_mul.  Temporaries stay (n, 32).
+    of mv_mul.  The paravector step and the first and third loops add each
+    slot's nonzero terms in ascending order of a, as mv_mul does.  The
+    second adds at most two per slot, in ascending order of b, and for
+    doubles x and y (+0.0 + x) + y is (+0.0 + y) + x, signed zeros and
+    inf - inf included.  A skipped term, or a term of a row whose factor is
+    zero, is a signed zero (the other factor being finite, hence the loops
+    over B's blades and the paravector step only for a finite A), and
+    adding a signed zero never changes a sum started at +0.0, which cannot
+    become -0.0; so each row gets the bits of its own mv_mul.  A non-finite
+    A stays on the loop over A, where inf * 0 gives NaN as in mv_mul, and a
+    non-finite B off the paravector step, which would meet it with A's zero
+    columns.  Temporaries stay (n, 32).
     """
     if len(A) == len(B) == 1:
         return _gather_product(A[0], B[0])[None]
@@ -255,7 +279,12 @@ def mv_mul_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     left = np.flatnonzero(A.any(axis=0))
     keep = B.any(axis=0)
     right = np.flatnonzero(keep)
-    if len(right) >= len(left) or not np.isfinite(A).all():
+    if (3 <= len(left) <= 6 and 3 <= len(right) <= 6
+            and _PARAVECTOR_SET.issuperset(left.tolist() + right.tolist())
+            and np.isfinite(A).all() and np.isfinite(B).all()):
+        acc[:, _PRODUCT_INDEX] = np.transpose(_paravector_product_slots(
+            A.T[PARAVECTOR_INDEX], B.T[PARAVECTOR_INDEX]))
+    elif len(right) >= len(left) or not np.isfinite(A).all():
         for a in left:
             y = B.take(INDEX_TABLE[a], axis=1) * LEFT_SIGN[a] if a else B
             _madd(acc, A[:, a, None], y)

@@ -15,8 +15,8 @@ from math import cos, isfinite, pi, sin, sqrt
 
 import numpy as np
 
-from .clifford_core import (DIM, Multivector, check_imaginary_unit, mv_mul_rows,
-                            paravector_norm_sq)
+from .clifford_core import (DIM, Multivector, check_imaginary_unit,
+                            check_paravector, mv_mul_rows, paravector_norm_sq)
 from .errors import DegenerateRadius, PointOutsideDomain
 from .fueter_ops import _kind_word, apply_word
 from .kernels import _as_rows, fine_kernel_rows
@@ -104,6 +104,7 @@ def fine_integral_eval(kind: str, P: SlicePolynomial, x: Multivector,
                        c: Contour) -> Multivector:
     """(1/2π)∫ S⁻¹_kind(s, x) ds_J P(s); equals the operator word of the
     kind applied to P, evaluated at x."""
+    check_paravector(x.c)
     _check_inside(x, c)
 
     def K(S):

@@ -36,6 +36,7 @@ from .slice_poly import (
     SlicePolynomial,
     XBarPolynomial,
     _accumulate,
+    _canonical,
     _check_side,
     is_slice,
     to_canonical,
@@ -158,13 +159,12 @@ def apply_word(word, P) -> CanonicalPoly:
     """
     word = tuple(word)
     if isinstance(P, SlicePolynomial):
-        out = CanonicalPoly(side=P.side)
+        terms = {}
         for m, coeff in enumerate(P.coeffs):
-            if coeff.is_zero():
-                continue
-            for (a, b), n in word_image(word, m).items():
-                out._add_term(a, b, coeff * float(n))
-        return out
+            if np.count_nonzero(coeff.c):
+                for key, n in word_image(word, m).items():
+                    _accumulate(terms, key, coeff.c * float(n))
+        return _canonical(terms, P.side)
     C = to_canonical(P)
     for letter in reversed(word):
         C = apply_operator(letter, C)

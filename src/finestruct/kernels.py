@@ -32,6 +32,7 @@ from .clifford_core import (
     Multivector,
     ONE,
     PARAVECTOR_INDEX,
+    PARAVECTOR_MASKS,
     axis_decompose,
     check_paravector,
     invertible_norm_sq,
@@ -266,8 +267,11 @@ def fine_kernel_rows(kind: str, side: str, S, X) -> np.ndarray:
     check_paravector(S, X)
     nx = paravector_norm_sq_rows(X)
     q = np.zeros(np.broadcast_shapes(S.shape, X.shape))
-    q[:, PARAVECTOR_INDEX] = np.transpose(
-        _q_slots(S.T[PARAVECTOR_INDEX], X.T[PARAVECTOR_INDEX], nx))
+    # A one-row side's slots are floats: no numpy calls on (1,) arrays.
+    slots = [A[0, PARAVECTOR_INDEX].tolist() if len(A) == 1
+             else A.T[PARAVECTOR_INDEX] for A in (S, X)]
+    for k, v in zip(PARAVECTOR_MASKS, _q_slots(*slots, nx)):
+        q[:, k] = v
     nq = paravector_norm_sq_rows(q)
     bound = _sphere_bound(paravector_norm_sq_rows(S), nx)
     if np.any(np.sqrt(nq) <= bound):

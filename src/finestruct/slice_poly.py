@@ -68,17 +68,29 @@ class XBarPolynomial:
         self.terms = [(int(a), int(b), _coerce_coeff(c)) for a, b, c in terms]
 
 
-def _accumulate(terms: dict, key, c: Multivector) -> None:
+def _accumulate(terms: dict, key, c) -> None:
     """Add c into terms[key]: a zero c is skipped, and the key is dropped
-    when the sum cancels to zero, so terms holds no zero value."""
-    if c.is_zero():
+    when the sum cancels to zero, so terms holds no zero value.  Values are
+    Multivectors or raw (32,) arrays, zero if no slot is nonzero or NaN."""
+    if not np.count_nonzero(_raw(c)):
         return
     cur = terms.get(key)
     new = c if cur is None else cur + c
-    if new.is_zero():
-        terms.pop(key, None)
-    else:
+    if np.count_nonzero(_raw(new)):
         terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+def _raw(c) -> np.ndarray:
+    return c.c if isinstance(c, Multivector) else c
+
+
+def _canonical(terms: dict, side: str) -> "CanonicalPoly":
+    """The CanonicalPoly of raw sums made by _accumulate, each wrapped once."""
+    out = CanonicalPoly(side=side)
+    out.terms = {key: Multivector._wrap(c) for key, c in terms.items()}
+    return out
 
 
 class CanonicalPoly:
@@ -173,14 +185,15 @@ def to_canonical(Q) -> CanonicalPoly:
     else:
         raise TypeError(f"cannot canonicalize {type(Q)!r}")
 
-    out = CanonicalPoly(side=xbar.side)
+    # Summed on raw arrays with the products and order of c * coef.
+    terms = {}
     for a, b, c in xbar.terms:
         # x^a = sum_i C(a,i) x0^(a-i) x_^i ; x̄^b = sum_j C(b,j) x0^(b-j) (-x_)^j
         for i in range(a + 1):
             for j in range(b + 1):
                 coef = comb(a, i) * comb(b, j) * ((-1) ** j)
-                out._add_term(a + b - i - j, i + j, c * coef)
-    return out
+                _accumulate(terms, (a + b - i - j, i + j), c.c * float(coef))
+    return _canonical(terms, xbar.side)
 
 
 def canonical_eval(C: CanonicalPoly, x: Multivector) -> Multivector:
