@@ -19,15 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .clifford_core import (
-    DIM,
-    LEFT_SIGNED,
-    PARAVECTOR_INDEX,
-    SIGNED_INDEX,
-    VECTOR_MASKS,
-    Multivector,
-    ZERO,
-)
+from .clifford_core import DIM, PARAVECTOR_INDEX, Multivector, ZERO, mv_mul_rows
 from .errors import AxisTooClose
 from .slice_poly import (
     LEFT,
@@ -295,13 +287,6 @@ _FD_BLOCK = 256
 # Coefficients of the unit directions of x0, x1, ..., x5.
 _UNIT_ROWS = np.eye(DIM)[PARAVECTOR_INDEX]
 
-# e_i d (left) and d e_i (right) for the units e_1 ... e_5, as indices into
-# [d, -d]: the signed permutation that mv_mul applies.
-_UNIT_PRODUCT = {
-    LEFT: SIGNED_INDEX[VECTOR_MASKS],
-    RIGHT: LEFT_SIGNED[:, VECTOR_MASKS].T,
-}
-
 
 def _richardson_steps(step: float) -> tuple[float, float, float]:
     return step, 2.0 * step, 4.0 * step
@@ -321,31 +306,30 @@ def _fd_reduce(letter: str, V: np.ndarray, step: float, side: str) -> np.ndarray
     """One letter's central differences and two Richardson levels.  The
     rows of V (m * 36 or m * 37, 32) hold, for each of m outer points, the
     values at the points of _letter_offsets, the Laplacian's centre first;
-    the result has shape (m, 32)."""
+    the result has shape (m, 32).  The three steps are reduced together:
+    a first-order letter makes one mv_mul_rows per unit e_i, over the 3 m
+    rows of di g."""
     if letter == "Delta":
         V = V.reshape(-1, 37, DIM)
-        center2 = V[:, 0] * 2.0
+        center2 = V[:, :1, None] * 2.0
         V = V[:, 1:]
     V = V.reshape(-1, 3, 6, 2, DIM)
-    stencils = []
-    for j, st in enumerate(_richardson_steps(step)):
-        plus, minus = V[:, j, :, 0], V[:, j, :, 1]
-        if letter == "Delta":
-            # Central second differences summed over the six coordinates.
-            terms = ((plus - center2[:, None]) + minus) * (1.0 / (st * st))
-            acc = np.zeros((len(V), DIM))
-            for i in range(6):
-                acc = acc + terms[:, i]
-        else:
-            # d0 g + sum_i e_i di g (Dbar: minus the sum), e_i on the side.
-            partials = (plus - minus) * (1.0 / (2.0 * st))
-            acc = partials[:, 0]
-            for i, index in enumerate(_UNIT_PRODUCT[side], 1):
-                d = partials[:, i]
-                term = 0.0 + np.concatenate((d, -d), axis=1)[:, index]
-                acc = acc - term if letter == "Dbar" else acc + term
-        stencils.append(acc)
-    s_h, s_2h, s_4h = stencils
+    plus, minus = V[..., 0, :], V[..., 1, :]
+    st = np.array(_richardson_steps(step))[:, None, None]
+    if letter == "Delta":
+        # Central second differences summed over the six coordinates.
+        terms = ((plus - center2) + minus) * (1.0 / (st * st))
+        stencils = np.add.reduce(terms, axis=2, initial=0.0)
+    else:
+        # d0 g + sum_i e_i di g (Dbar: minus the sum), e_i on the side.
+        partials = (plus - minus) * (1.0 / (2.0 * st))
+        stencils = partials[:, :, 0]
+        for i, unit in enumerate(_UNIT_ROWS[1:, None], 1):
+            d = partials[:, :, i].reshape(-1, DIM)
+            term = (mv_mul_rows(unit, d) if side == LEFT
+                    else mv_mul_rows(d, unit)).reshape(stencils.shape)
+            stencils = stencils - term if letter == "Dbar" else stencils + term
+    s_h, s_2h, s_4h = stencils.transpose(1, 0, 2)
     r1_h = (s_h * 4.0 - s_2h) * (1.0 / 3.0)
     r1_2h = (s_2h * 4.0 - s_4h) * (1.0 / 3.0)
     return (r1_h * 16.0 - r1_2h) * (1.0 / 15.0)
