@@ -357,7 +357,9 @@ def fd_apply_batch(word, F, x: Multivector, h: float = 1e-3, side: str = LEFT,
     Delta, 37 x 36 for Delta∘D.  Coincident points are not merged.  The
     values are then reduced innermost letter first, each letter with the
     float operations of a single-letter stencil, for all points of the outer
-    letters at once.
+    letters at once.  Where F gives inf or NaN, the sign bit of a NaN in the
+    result is not specified: the left side passes di g as mv_mul_rows' B,
+    whose bits are mv_mul's only for a finite B.
     """
     _check_side(side)
     for name, value in (("h", h), ("step_growth", step_growth)):
@@ -426,10 +428,8 @@ def axial_parts(C: CanonicalPoly) -> tuple[AxialPoly, AxialPoly]:
     A = AxialPoly()
     B = AxialPoly()
     for (a, b), c in C.terms.items():
-        if b % 2 == 0:
-            _accumulate(A.terms, (a, b), c * ((-1.0) ** (b // 2)))
-        else:
-            _accumulate(B.terms, (a, b), c * ((-1.0) ** ((b - 1) // 2)))
+        # x_^b = (-1)^(b // 2) r^b, times omega for odd b.
+        _accumulate((B if b % 2 else A).terms, (a, b), c * (-1.0) ** (b // 2))
     return A, B
 
 
@@ -443,72 +443,71 @@ VEKUA_SYSTEMS = tuple(SYSTEM_TAGS)
 SYSTEM_WORDS = {sys: TAG_WORDS[tag] for sys, tag in SYSTEM_TAGS.items()}
 
 
+# The printed axial PDE systems for f = A + omega B, two equations each, in
+# printed order; a term (c, part, i, j, p) is c d0^i dr^j part / r^p.
+PRINTED_SYSTEMS = {
+    "AntiCliffordian": (
+        ((1, "A", 3, 0, 0), (1, "A", 1, 2, 0), (4, "A", 1, 1, 1),
+         (1, "B", 2, 1, 0), (1, "B", 0, 3, 0), (8, "B", 0, 2, 1),
+         (8, "B", 0, 1, 2), (-8, "B", 0, 0, 3), (4, "B", 2, 0, 1)),
+        ((1, "B", 3, 0, 0), (1, "B", 1, 2, 0), (-4, "B", 1, 1, 1),
+         (4, "B", 1, 0, 2), (-1, "A", 2, 1, 0), (-1, "A", 0, 3, 0),
+         (-4, "A", 0, 2, 1), (4, "A", 0, 1, 2))),
+    "BiHarmonic": (
+        ((1, "A", 4, 0, 0), (2, "A", 2, 2, 0), (1, "A", 0, 4, 0),
+         (-8, "A", 0, 1, 3), (8, "A", 0, 2, 2), (8, "A", 0, 3, 1),
+         (4, "A", 2, 1, 1)),
+        ((1, "B", 0, 4, 0), (8, "B", 0, 3, 1), (-24, "B", 0, 1, 3),
+         (24, "B", 0, 0, 4), (2, "B", 2, 2, 0), (-8, "B", 2, 0, 2),
+         (8, "B", 2, 1, 1), (1, "B", 4, 0, 0))),
+    "Poly3": (
+        ((1, "A", 3, 0, 0), (1, "B", 0, 3, 0), (-3, "B", 2, 1, 0),
+         (-3, "A", 1, 2, 0), (-12, "B", 2, 0, 1), (-12, "A", 1, 1, 1),
+         (8, "B", 0, 2, 1), (8, "B", 0, 1, 2), (-8, "B", 0, 0, 3)),
+        ((1, "B", 3, 0, 0), (-1, "A", 0, 3, 0), (3, "A", 2, 1, 0),
+         (-3, "B", 1, 2, 0), (-12, "B", 1, 1, 1), (12, "B", 1, 0, 2),
+         (-4, "A", 0, 2, 1), (4, "A", 0, 1, 2))),
+    "Cliffordian1": (
+        ((1, "A", 1, 0, 0), (1, "A", 1, 2, 0), (4, "A", 1, 1, 1),
+         (-1, "B", 2, 1, 0), (-1, "B", 0, 3, 0), (-8, "B", 0, 1, 2),
+         (8, "B", 0, 0, 3), (-4, "B", 2, 0, 1)),
+        ((1, "B", 3, 0, 0), (1, "B", 1, 2, 0), (4, "B", 1, 1, 1),
+         (-4, "B", 1, 0, 2), (1, "A", 2, 1, 0), (1, "A", 0, 3, 0),
+         (4, "A", 0, 2, 1), (-8, "A", 0, 1, 2), (8, "A", 0, 0, 3))),
+    "Harmonic": (
+        ((1, "A", 2, 0, 0), (1, "A", 0, 2, 0), (4, "A", 0, 1, 1)),
+        ((1, "B", 2, 0, 0), (1, "B", 0, 2, 0), (4, "B", 0, 1, 1),
+         (-4, "B", 0, 0, 2))),
+    "Poly2": (
+        ((1, "A", 2, 0, 0), (-2, "B", 1, 1, 0), (-8, "B", 1, 0, 1),
+         (-1, "A", 0, 2, 0), (-4, "A", 0, 1, 1)),
+        ((1, "B", 2, 0, 0), (2, "A", 1, 1, 0), (-1, "B", 0, 2, 0),
+         (-4, "B", 0, 1, 1), (4, "B", 0, 0, 2))),
+    "PolyCliffordian12": (
+        ((1, "A", 4, 0, 0), (-2, "B", 3, 1, 0), (-2, "B", 1, 3, 0),
+         (-8, "B", 3, 0, 1), (-8, "B", 1, 2, 1), (-1, "A", 0, 4, 0),
+         (-8, "A", 0, 3, 1), (-8, "A", 0, 1, 3), (-4, "A", 0, 2, 2),
+         (-8, "A", 0, 0, 4), (-16, "B", 1, 1, 2)),
+        ((1, "B", 4, 0, 0), (2, "A", 3, 1, 0), (2, "A", 1, 3, 0),
+         (8, "A", 1, 2, 1), (-12, "A", 1, 1, 2), (-4, "B", 1, 1, 2),
+         (-1, "B", 0, 4, 0), (8, "A", 1, 0, 3), (-8, "B", 0, 2, 2),
+         (24, "B", 0, 1, 3), (-24, "B", 0, 0, 4), (4, "B", 2, 0, 2))),
+}
+
+
 def vekua_residual(sys: str, A: AxialPoly, B: AxialPoly,
                    p) -> tuple[Multivector, Multivector]:
-    """Evaluate both equations of the named axial PDE system at p = (x0, r),
-    with the exact partial derivatives of the axial polynomials A and B."""
+    """Both equations of PRINTED_SYSTEMS[sys] at p = (x0, r), each summed in
+    table order from its first term (a sum from zero loses a -0.0)."""
     x0, r = float(p[0]), float(p[1])
     if r < 0.1:
         raise AxisTooClose(f"r = {r} below r_min = 0.1")
-
-    def a(i: int, j: int) -> Multivector:
-        return A.deriv(i, j)(x0, r)
-
-    def b(i: int, j: int) -> Multivector:
-        return B.deriv(i, j)(x0, r)
-
-    if sys == "AntiCliffordian":
-        res1 = (a(3, 0) + a(1, 2) + a(1, 1) * (4 / r) + b(2, 1) + b(0, 3)
-                + b(0, 2) * (8 / r) + b(0, 1) * (8 / r ** 2)
-                - b(0, 0) * (8 / r ** 3) + b(2, 0) * (4 / r))
-        res2 = (b(3, 0) + b(1, 2)
-                - (b(1, 1) * (1 / r) - b(1, 0) * (1 / r ** 2)) * 4
-                - a(2, 1) - a(0, 3)
-                - (a(0, 2) * (1 / r) - a(0, 1) * (1 / r ** 2)) * 4)
-    elif sys == "BiHarmonic":
-        res1 = (a(4, 0) + a(2, 2) * 2 + a(0, 4) - a(0, 1) * (8 / r ** 3)
-                + a(0, 2) * (8 / r ** 2) + a(0, 3) * (8 / r) + a(2, 1) * (4 / r))
-        res2 = (b(0, 4) + b(0, 3) * (8 / r) - b(0, 1) * (24 / r ** 3)
-                + b(0, 0) * (24 / r ** 4) + b(2, 2) * 2 - b(2, 0) * (8 / r ** 2)
-                + b(2, 1) * (8 / r) + b(4, 0))
-    elif sys == "Poly3":
-        res1 = (a(3, 0) + b(0, 3) - b(2, 1) * 3 - a(1, 2) * 3
-                - b(2, 0) * (12 / r) - a(1, 1) * (12 / r) + b(0, 2) * (8 / r)
-                + b(0, 1) * (8 / r ** 2) - b(0, 0) * (8 / r ** 3))
-        res2 = (b(3, 0) - a(0, 3) + a(2, 1) * 3 - b(1, 2) * 3
-                - b(1, 1) * (12 / r) + b(1, 0) * (12 / r ** 2)
-                - a(0, 2) * (4 / r) + a(0, 1) * (4 / r ** 2))
-    elif sys == "Cliffordian1":
-        res1 = (a(1, 0) + a(1, 2) + a(1, 1) * (4 / r) - b(2, 1) - b(0, 3)
-                - b(0, 1) * (8 / r ** 2) + b(0, 0) * (8 / r ** 3)
-                - b(2, 0) * (4 / r))
-        res2 = (b(3, 0) + b(1, 2)
-                + (b(1, 1) * (1 / r) - b(1, 0) * (1 / r ** 2)) * 4
-                + a(2, 1) + a(0, 3)
-                + (a(0, 2) * (1 / r) - a(0, 1) * (2 / r ** 2)
-                   + a(0, 0) * (2 / r ** 3)) * 4)
-    elif sys == "Harmonic":
-        res1 = a(2, 0) + a(0, 2) + a(0, 1) * (4 / r)
-        res2 = (b(2, 0) + b(0, 2)
-                + (b(0, 1) * (1 / r) - b(0, 0) * (1 / r ** 2)) * 4)
-    elif sys == "Poly2":
-        res1 = (a(2, 0) - b(1, 1) * 2 - b(1, 0) * (8 / r) - a(0, 2)
-                - a(0, 1) * (4 / r))
-        res2 = (b(2, 0) + a(1, 1) * 2 - b(0, 2)
-                - (b(0, 1) * (1 / r) - b(0, 0) * (1 / r ** 2)) * 4)
-    elif sys == "PolyCliffordian12":
-        res1 = (a(4, 0) - b(3, 1) * 2 - b(1, 3) * 2 - b(3, 0) * (8 / r)
-                - b(1, 2) * (8 / r) - a(0, 4) - a(0, 3) * (8 / r)
-                - a(0, 1) * (8 / r ** 3) - a(0, 2) * (4 / r ** 2)
-                - a(0, 0) * (8 / r ** 4) - b(1, 1) * (16 / r ** 2))
-        res2 = (b(4, 0) + a(3, 1) * 2 + a(1, 3) * 2 + a(1, 2) * (8 / r)
-                - a(1, 1) * (12 / r ** 2) - b(1, 1) * (4 / r ** 2) - b(0, 4)
-                + a(1, 0) * (8 / r ** 3) - b(0, 2) * (8 / r ** 2)
-                + b(0, 1) * (24 / r ** 3) - b(0, 0) * (24 / r ** 4)
-                + b(2, 0) * (4 / r ** 2))
-    else:
+    if sys not in PRINTED_SYSTEMS:
         raise ValueError(f"unknown system {sys!r}")
-    return res1, res2
+    values = [[(A if part == "A" else B).deriv(i, j)(x0, r) * (c / r ** k)
+               for c, part, i, j, k in equation]
+              for equation in PRINTED_SYSTEMS[sys]]
+    return tuple(sum(terms[1:], terms[0]) for terms in values)
 
 
 # -- classification and enumeration ---------------------------------------------
