@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import comb, inf, perm
+from math import comb, inf, isfinite, perm
 from types import MappingProxyType
 
 import numpy as np
 
 from .clifford_core import DIM, PARAVECTOR_INDEX, Multivector, ZERO, mv_mul_rows
-from .errors import AxisTooClose
+from .errors import AxisTooClose, NotFinite
 from .slice_poly import (
     LEFT,
-    RIGHT,
     CanonicalPoly,
     SlicePolynomial,
     XBarPolynomial,
@@ -231,39 +230,35 @@ def word_image_terms(word: tuple[str, ...], N: int) -> tuple:
 # -- monomial image tables -----------------------------------------------------
 
 
+# The printed image of x^m under each fine kind's word: a row (o, lead, coef)
+# gives x^(m-o-1) lead(m), if lead is not None, then x^(m-o-k) x̄^(k-1)
+# coef(m, k) for k = 1..m-o; it is empty for m <= o.  o is written out, not
+# read from KIND_ORDER: the printed table never reads the engine.
+MONOMIAL_TABLES = {
+    "D": (0, None, lambda m, k: -4),
+    "Delta": (1, None, lambda m, k: -8 * (m - k)),
+    "DeltaD": (2, None, lambda m, k: 16 * (m - k - 1) * k),
+    "Dbar": (0, lambda m: 2 * m, lambda m, k: 4),
+    "Dbar2": (1, lambda m: 4 * m * (m - 1), lambda m, k: 8 * (2 * m - k)),
+    "D2": (1, None, lambda m, k: -8 * k),
+    "DeltaDbar": (2, None, lambda m, k: -16 * (m - k - 1) * (m + k)),
+}
+
+
 def monomial_image(kind: str, m: int) -> XBarPolynomial:
     """Image of x^m under the operator word of the given kind, as an exact
-    integer-coefficient left polynomial in (x, x̄)."""
+    integer-coefficient left polynomial in (x, x̄): its MONOMIAL_TABLES row."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    terms: list[tuple[int, int, float]] = []
-    if kind == "D":
-        if m >= 1:
-            terms = [(m - k, k - 1, -4) for k in range(1, m + 1)]
-    elif kind == "Delta":
-        if m >= 2:
-            terms = [(m - k - 1, k - 1, -8 * (m - k)) for k in range(1, m)]
-    elif kind == "D2":
-        if m >= 2:
-            terms = [(m - k - 1, k - 1, -8 * k) for k in range(1, m)]
-    elif kind == "DeltaD":
-        if m >= 3:
-            terms = [(m - k - 2, k - 1, 16 * (m - k - 1) * k)
-                     for k in range(1, m - 1)]
-    elif kind == "Dbar":
-        if m >= 1:
-            terms = [(m - 1, 0, 2 * m)]
-            terms += [(m - k, k - 1, 4) for k in range(1, m + 1)]
-    elif kind == "Dbar2":
-        if m >= 2:
-            terms = [(m - 2, 0, 4 * m * (m - 1))]
-            terms += [(m - k - 1, k - 1, 8 * (2 * m - k)) for k in range(1, m)]
-    elif kind == "DeltaDbar":
-        if m >= 3:
-            terms = [(m - k - 2, k - 1, -16 * (m - k - 1) * (m + k))
-                     for k in range(1, m - 1)]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    try:
+        o, lead, coef = MONOMIAL_TABLES[kind]
+    except KeyError:
+        raise ValueError(f"unknown kind {kind!r}") from None
+    terms = []
+    if m > o:
+        if lead is not None:
+            terms.append((m - o - 1, 0, lead(m)))
+        terms += [(m - o - k, k - 1, coef(m, k)) for k in range(1, m - o + 1)]
     return XBarPolynomial(terms)
 
 
@@ -498,8 +493,11 @@ PRINTED_SYSTEMS = {
 def vekua_residual(sys: str, A: AxialPoly, B: AxialPoly,
                    p) -> tuple[Multivector, Multivector]:
     """Both equations of PRINTED_SYSTEMS[sys] at p = (x0, r), each summed in
-    table order from its first term (a sum from zero loses a -0.0)."""
+    table order from its first term (a sum from zero loses a -0.0).  Raises
+    NotFinite if x0 or r is inf or NaN, then AxisTooClose if r < 0.1."""
     x0, r = float(p[0]), float(p[1])
+    if not (isfinite(x0) and isfinite(r)):
+        raise NotFinite(f"point ({x0}, {r}) is not finite")
     if r < 0.1:
         raise AxisTooClose(f"r = {r} below r_min = 0.1")
     if sys not in PRINTED_SYSTEMS:

@@ -325,46 +325,45 @@ def fine_kernel_series(kind: str, side: str, s: Multivector, x: Multivector,
     return Multivector._wrap(np.add.reduce(terms, axis=0, initial=0.0))
 
 
+# Each fine kernel as printed, a combination of the F5 kernel F: kind ->
+# (scale, combination), the kernel being combination(t, x, x0, |x|^2) * scale,
+# with t(k, P) = P F s^k on the left and s^k F P on the right (no P: F s^k).
+F5_COMBINATIONS = {
+    "D": (-1.0 / 16.0, lambda t, x, x0, nx: (
+        t(3) - t(2, x + ONE * (2 * x0)) + t(1, x * (2 * x0) + ONE * nx)
+        - t(0, x * nx))),
+    "Delta": (-1.0 / 8.0, lambda t, x, x0, nx: (
+        t(2) - t(1, ONE * (2 * x0)) + t(0, ONE * nx))),
+    "DeltaD": (0.25, lambda t, x, x0, nx: t(1) - t(0, x)),
+    "Dbar": (1.0 / 32.0, lambda t, x, x0, nx: (
+        t(3) * 3.0 - t(2, x + ONE * (8 * x0))
+        + t(1, x * (2 * x0) + ONE * (4 * x0 * x0 + 3 * nx))
+        - t(0, x * nx + ONE * (2 * x0 * nx)))),
+    "Dbar2": (0.5, lambda t, x, x0, nx: (
+        t(2) - t(1, ONE * (2 * x0)) + t(0, ONE * (x0 * x0)))),
+    "D2": (-1.0 / 8.0, lambda t, x, x0, nx: (
+        t(2) - t(1, x * 2.0) + t(0, x * x))),
+    "DeltaDbar": (1.0, lambda t, x, x0, nx: -t(1) + t(0, ONE * x0)),
+}
+
+
 def fine_kernel_via_f5(kind: str, side: str, s: Multivector, x: Multivector) -> Multivector:
-    """Evaluate the kernel as a polynomial combination of the F5 kernel."""
+    """Evaluate the kernel as its F5_COMBINATIONS row: F s^k (s^k F on the
+    right) is built once per k, along one chain of products by s."""
     F = f5_kernel(side, s, x)
-    x0 = x[0]
-    xn2 = paravector_norm_sq(x)
-    xbar = paravector_conjugate(x)
+    if kind not in F5_COMBINATIONS:
+        raise ValueError(f"no F5 combination for kind {kind!r}")
+    scale, combination = F5_COMBINATIONS[kind]
+    chain = [F]
 
-    def term(left_factor, s_power: int):
-        acc = F
-        for _ in range(s_power):
-            acc = (acc * s) if side == LEFT else (s * acc)
-        if left_factor is None:
-            return acc
-        return (left_factor * acc) if side == LEFT else (acc * left_factor)
+    def t(k: int, P=None):
+        while len(chain) <= k:
+            chain.append(chain[-1] * s if side == LEFT else s * chain[-1])
+        if P is None:
+            return chain[k]
+        return P * chain[k] if side == LEFT else chain[k] * P
 
-    if kind == "D":
-        combo = (term(None, 3) - term(x + ONE * (2 * x0), 2)
-                 + term(x * (2 * x0) + ONE * xn2, 1) - term(x * xn2, 0))
-        return combo * (-1.0 / 16.0)
-    if kind == "Delta":
-        combo = term(None, 2) - term(ONE * (2 * x0), 1) + term(ONE * xn2, 0)
-        return combo * (-1.0 / 8.0)
-    if kind == "DeltaD":
-        combo = term(None, 1) - term(x, 0)
-        return combo * 0.25
-    if kind == "Dbar":
-        combo = (term(None, 3) * 3.0 - term(x + ONE * (8 * x0), 2)
-                 + term(x * (2 * x0) + ONE * (4 * x0 * x0 + 3 * xn2), 1)
-                 - term(x * xn2 + ONE * (2 * x0 * xn2), 0))
-        return combo * (1.0 / 32.0)
-    if kind == "D2":
-        combo = term(None, 2) - term(x * 2.0, 1) + term(x * x, 0)
-        return combo * (-1.0 / 8.0)
-    if kind == "Dbar2":
-        combo = (term(None, 2) - term(ONE * (2 * x0), 1)
-                 + term(ONE * (x0 * x0), 0))
-        return combo * 0.5
-    if kind == "DeltaDbar":
-        return -term(None, 1) + term(ONE * x0, 0)
-    raise ValueError(f"no F5 combination for kind {kind!r}")
+    return combination(t, x, x[0], paravector_norm_sq(x)) * scale
 
 
 def p0_residual(s: Multivector, x: Multivector) -> Multivector:
